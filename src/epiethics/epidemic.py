@@ -178,29 +178,35 @@ def sir_derivatives(state: EpidemicState, L: float, params: PlannerParams):
     couple of rounding ulps.
     """
     _check_lockdown(L, params)
-    flow = (params.beta_contact * state.S * state.I
-            * (1.0 - params.theta * L) ** 2)
-    exits = params.gamma * state.I
-    dD = (params.phi0 + params.kappa * state.I) * state.I
-    return (-flow, flow - exits, exits - dD, dD)
+    return _rhs((state.S, state.I), L, params)
 
 
-def _rhs(y: np.ndarray, L: float, params: PlannerParams) -> np.ndarray:
-    # Array twin of sir_derivatives, used inside the integrator.
+def _rhs(y, L, params: PlannerParams):
+    # The SIR right-hand side at y = (S, I, ...), unchecked. Plain
+    # arithmetic, so S, I and L may be floats or broadcastable arrays.
     S, I = y[0], y[1]
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I
     dD = (params.phi0 + params.kappa * I) * I
-    return np.array([-flow, flow - exits, exits - dD, dD])
+    return (-flow, flow - exits, exits - dD, dD)
 
 
 def _integrate(state0: EpidemicState, control, params: PlannerParams,
                horizon: float, dt: float, extra_rhs=None, n_extra: int = 0):
     """Fixed-step RK4 on the closed-loop system, plus optional quadratures.
 
-    extra_rhs(y4, L, t) may return extra derivative components (e.g.
-    discounted running costs) appended to the state vector. Returns the
-    sampled trajectory arrays and the final extra components.
+    control(S, I, R, D, t) gives the lockdown as a float. It is called at
+    every RK4 stage, where its value must lie in [0, L_bar], and once more
+    for the lockdown reported at the final sample. extra_rhs(S, I, L, t)
+    may return n_extra further derivative components (e.g. discounted
+    running costs), integrated alongside the state with the same RK4
+    weights. Returns the sampled trajectory and the list of the n_extra
+    integrals (None when n_extra is 0).
+
+    The loop runs on plain floats but keeps, value by value, the
+    operation order of the equivalent loop over numpy state vectors, so
+    its output is bit for bit the same; tests/test_rk4_reference.py keeps
+    that array loop and checks the equality.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -210,18 +216,6 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
 
-    def full_rhs(y, t):
-        st = EpidemicState._unchecked(y[0], y[1], y[2], y[3], t)
-        L = float(control(st, t))
-        _check_lockdown(L, params)
-        base = _rhs(y[:4], L, params)
-        if extra_rhs is None:
-            return base, L
-        out = np.empty(4 + n_extra)
-        out[:4] = base
-        out[4:] = extra_rhs(y[:4], L, t)
-        return out, L
-
     n_full = int(math.floor(horizon / dt + 1e-9))
     steps = [dt] * n_full
     rem = horizon - n_full * dt
@@ -229,38 +223,76 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         steps.append(rem)
     n = len(steps)
 
-    y = np.zeros(4 + n_extra)
-    y[:4] = state0.as_array()
+    S, I, R, D = state0.S, state0.I, state0.R, state0.D
     t = state0.t
     ts = np.empty(n + 1)
     path = np.empty((n + 1, 4))
     Ls = np.empty(n + 1)
     ts[0] = t
-    path[0] = y[:4]
+    path[0] = (S, I, R, D)
+    ts_out, path_out, Ls_out = memoryview(ts), memoryview(path), \
+        memoryview(Ls)
+    extras = [0.0] * n_extra
+    lo, hi = -_STATE_ATOL, 1.0 + _STATE_ATOL
 
     for k, h in enumerate(steps):
-        k1, L_here = full_rhs(y, t)
-        k2, _ = full_rhs(y + 0.5 * h * k1, t + 0.5 * h)
-        k3, _ = full_rhs(y + 0.5 * h * k2, t + 0.5 * h)
-        k4, _ = full_rhs(y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(y[:4] < -_STATE_ATOL) or np.any(y[:4] > 1.0 + _STATE_ATOL):
+        half = 0.5 * h
+        t_mid = t + half
+        t_end = t + h
+        L1 = control(S, I, R, D, t)
+        _check_lockdown(L1, params)
+        dS1, dI1, dR1, dD1 = _rhs((S, I), L1, params)
+        S2, I2 = S + half * dS1, I + half * dI1
+        R2, D2 = R + half * dR1, D + half * dD1
+        L2 = control(S2, I2, R2, D2, t_mid)
+        _check_lockdown(L2, params)
+        dS2, dI2, dR2, dD2 = _rhs((S2, I2), L2, params)
+        S3, I3 = S + half * dS2, I + half * dI2
+        R3, D3 = R + half * dR2, D + half * dD2
+        L3 = control(S3, I3, R3, D3, t_mid)
+        _check_lockdown(L3, params)
+        dS3, dI3, dR3, dD3 = _rhs((S3, I3), L3, params)
+        S4, I4 = S + h * dS3, I + h * dI3
+        R4, D4 = R + h * dR3, D + h * dD3
+        L4 = control(S4, I4, R4, D4, t_end)
+        _check_lockdown(L4, params)
+        dS4, dI4, dR4, dD4 = _rhs((S4, I4), L4, params)
+
+        sixth = h / 6.0
+        if extra_rhs is not None:
+            extras = [q + sixth * (a + 2.0 * b + 2.0 * c + d)
+                      for q, a, b, c, d in zip(
+                          extras, extra_rhs(S, I, L1, t),
+                          extra_rhs(S2, I2, L2, t_mid),
+                          extra_rhs(S3, I3, L3, t_mid),
+                          extra_rhs(S4, I4, L4, t_end))]
+        S = S + sixth * (dS1 + 2.0 * dS2 + 2.0 * dS3 + dS4)
+        I = I + sixth * (dI1 + 2.0 * dI2 + 2.0 * dI3 + dI4)
+        R = R + sixth * (dR1 + 2.0 * dR2 + 2.0 * dR3 + dR4)
+        D = D + sixth * (dD1 + 2.0 * dD2 + 2.0 * dD3 + dD4)
+        if (S < lo or S > hi or I < lo or I > hi or R < lo or R > hi
+                or D < lo or D > hi):
             raise IntegrationError(
                 f"compartment escaped [0, 1] at step {k} (t={t + h:.6f}): "
-                f"{y[:4].tolist()}")
-        y[:4] = np.clip(y[:4], 0.0, 1.0)
+                f"{[S, I, R, D]}")
+        S = min(max(S, 0.0), 1.0)
+        I = min(max(I, 0.0), 1.0)
+        R = min(max(R, 0.0), 1.0)
+        D = min(max(D, 0.0), 1.0)
         t += h
-        Ls[k] = L_here
-        ts[k + 1] = t
-        path[k + 1] = y[:4]
+        Ls_out[k] = L1
+        ts_out[k + 1] = t
+        path_out[k + 1, 0] = S
+        path_out[k + 1, 1] = I
+        path_out[k + 1, 2] = R
+        path_out[k + 1, 3] = D
 
     # Lockdown that would apply at the final sample.
-    st = EpidemicState._unchecked(*path[-1], ts[-1])
-    Ls[n] = float(control(st, ts[-1]))
+    Ls_out[n] = control(S, I, R, D, t)
 
     traj = Trajectory(t=ts, S=path[:, 0], I=path[:, 1], R=path[:, 2],
                       D=path[:, 3], L=Ls)
-    return traj, (y[4:].copy() if n_extra else None)
+    return traj, (extras if n_extra else None)
 
 
 def integrate_trajectory(state0: EpidemicState, control,
@@ -268,9 +300,18 @@ def integrate_trajectory(state0: EpidemicState, control,
                          dt: float) -> Trajectory:
     """Integrate the controlled SIR system with fixed-step RK4.
 
-    control(state, t) must return a lockdown intensity in [0, L_bar];
-    it is re-evaluated at every RK4 stage. dt must satisfy
-    dt <= 0.1 / max(beta, gamma).
+    control(state, t) receives an EpidemicState (built without
+    validation) and the stage time. It is re-evaluated at every RK4
+    stage, where it must return a lockdown intensity in [0, L_bar] or a
+    ValueError is raised, and once more for the lockdown recorded at the
+    final sample. dt must satisfy dt <= 0.1 / max(beta, gamma). A step
+    that takes a compartment more than 1e-12 outside [0, 1] raises
+    IntegrationError; smaller excursions are clipped. The results equal,
+    bit for bit, RK4 on numpy state vectors in the same operation order
+    (tests/test_rk4_reference.py).
     """
-    traj, _ = _integrate(state0, control, params, horizon, dt)
+    def stage_control(S, I, R, D, t):
+        return float(control(EpidemicState._unchecked(S, I, R, D, t), t))
+
+    traj, _ = _integrate(state0, stage_control, params, horizon, dt)
     return traj

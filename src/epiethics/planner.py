@@ -29,12 +29,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .epidemic import EpidemicState, PlannerParams, Trajectory, \
-    basic_reproduction_number, _integrate
+    basic_reproduction_number, _check_lockdown, _integrate
 
 __all__ = [
     "GridSpec",
@@ -104,20 +105,34 @@ class GridSpec:
         return np.linspace(0.0, L_bar, self.n_L)
 
 
-def _bilinear(s_nodes, i_nodes, values, S, I):
-    # Clamped bilinear interpolation on the uniform grid.
+def _bilinear(grid: GridSpec, values: np.ndarray):
+    """Clamped bilinear interpolation of a grid field, as f(S, I) -> float.
+
+    The field is read in place through a memoryview, which yields plain
+    floats: no numpy scalar per call and no copy of the field, only of
+    the node coordinates.
+    """
+    s_nodes = grid.s_nodes().tolist()
+    i_nodes = grid.i_nodes().tolist()
     hS = s_nodes[1] - s_nodes[0]
     hI = i_nodes[1] - i_nodes[0]
-    S = min(max(float(S), 0.0), 1.0)
-    I = min(max(float(I), 0.0), 1.0)
-    i = min(int(S / hS), s_nodes.size - 2)
-    j = min(int(I / hI), i_nodes.size - 2)
-    xs = (S - s_nodes[i]) / hS
-    xi = (I - i_nodes[j]) / hI
-    return ((1 - xs) * (1 - xi) * values[i, j]
-            + xs * (1 - xi) * values[i + 1, j]
-            + (1 - xs) * xi * values[i, j + 1]
-            + xs * xi * values[i + 1, j + 1])
+    i_top = grid.n_S - 2
+    j_top = grid.n_I - 2
+    field = memoryview(values)
+
+    def at(S, I):
+        S = min(max(float(S), 0.0), 1.0)
+        I = min(max(float(I), 0.0), 1.0)
+        i = min(int(S / hS), i_top)
+        j = min(int(I / hI), j_top)
+        xs = (S - s_nodes[i]) / hS
+        xi = (I - i_nodes[j]) / hI
+        return ((1 - xs) * (1 - xi) * field[i, j]
+                + xs * (1 - xi) * field[i + 1, j]
+                + (1 - xs) * xi * field[i, j + 1]
+                + xs * xi * field[i + 1, j + 1])
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -139,8 +154,11 @@ class ValueField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return float(_bilinear(self.grid.s_nodes(), self.grid.i_nodes(),
-                               self.values, S, I))
+        return self._interpolate(S, I)
+
+    @cached_property
+    def _interpolate(self):
+        return _bilinear(self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -166,8 +184,11 @@ class PolicyField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return float(_bilinear(self.grid.s_nodes(), self.grid.i_nodes(),
-                               self.lockdown, S, I))
+        return self._interpolate(S, I)
+
+    @cached_property
+    def _interpolate(self):
+        return _bilinear(self.grid, self.lockdown)
 
 
 def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
@@ -178,16 +199,18 @@ def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
     population otherwise), plus the flow of deaths valued at
     cost_per_death + chi.
     """
-    if not 0.0 <= L <= params.L_bar:
-        raise ValueError(f"lockdown L={L!r} outside [0, {params.L_bar}]")
-    return float(_flow_cost_arrays(state.S, state.I, L, params))
+    _check_lockdown(L, params)
+    gdp, deaths = _flow_cost_terms(state.S, state.I, L, params)
+    return float(gdp + deaths)
 
 
-def _flow_cost_arrays(S, I, L, params: PlannerParams):
+def _flow_cost_terms(S, I, L, params: PlannerParams):
+    # The two terms of the flow cost, lockdown output loss and death
+    # cost, for floats or broadcastable arrays.
     gdp = params.w * L * (params.tau * (S + I) + (1 - params.tau))
     deaths = (params.phi0 + params.kappa * I) * I \
         * (params.cost_per_death + params.chi)
-    return gdp + deaths
+    return gdp, deaths
 
 
 def boundary_value_s_zero(I, params: PlannerParams):
@@ -208,14 +231,14 @@ def boundary_value_s_zero(I, params: PlannerParams):
 
 def _row_quantities(S, I, L, params: PlannerParams):
     # Drift and cost pieces at nodes I (any shape) under lockdown L
-    # (broadcastable against I).
+    # (broadcastable against I). The flow is epidemic._rhs's -dS, written
+    # out: taking it from _rhs would negate it twice and compute dR and
+    # dD for nothing, about 2% of a solve.
     lock = (1.0 - params.theta * L) ** 2
     flow = params.beta_contact * S * I * lock
     f_I = flow - params.gamma * I
-    cost = params.w * L * (params.tau * (S + I) + (1 - params.tau)) \
-        + (params.phi0 + params.kappa * I) * I \
-        * (params.cost_per_death + params.chi)
-    return flow, f_I, cost
+    gdp, deaths = _flow_cost_terms(S, I, L, params)
+    return flow, f_I, gdp + deaths
 
 
 def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
@@ -223,16 +246,24 @@ def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
     return cost - flow * DS + np.where(f_I > 0.0, f_I * DIp, f_I * DIm)
 
 
-def _row_minimize(S, I, v_row, v_prev, hS, hI, Ls, params, refine,
+def _row_scan(S, I, Ls, params: PlannerParams):
+    # _row_quantities of one S-row over the nodes I x the scan grid Ls.
+    # They do not depend on V, so a row's policy iteration computes them
+    # once.
+    return _row_quantities(S, I[:, None], Ls[None, :], params)
+
+
+def _row_minimize(scan, S, I, v_row, v_prev, hS, hI, Ls, params, refine,
                   L_cur=None):
     """Scan + refine the control at every active node of one S-row.
 
-    Returns the minimized Hamiltonian and the minimizing L with its
-    drift/cost pieces. v_row is the full current row (index 0 pinned);
-    v_prev is the full row below. When the incumbent policy L_cur is
-    given it stays unless a candidate is strictly better, which keeps
-    the policy iteration monotone (refined candidates off the scan grid
-    would otherwise allow two policies to trade places forever).
+    scan is _row_scan(S, I, Ls, params). Returns the minimized
+    Hamiltonian and the minimizing L with its drift/cost pieces. v_row
+    is the full current row (index 0 pinned); v_prev is the full row
+    below. When the incumbent policy L_cur is given it stays unless a
+    candidate is strictly better, which keeps the policy iteration
+    monotone (refined candidates off the scan grid would otherwise allow
+    two policies to trade places forever).
     """
     vj = v_row[1:]
     DS = (vj - v_prev[1:]) / hS
@@ -241,7 +272,7 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, Ls, params, refine,
     DIp[-1] = 0.0   # no upwind neighbour above the top edge
     DIm = (v_row[1:] - v_row[:-1]) / hI
 
-    flow, f_I, cost = _row_quantities(S, I[:, None], Ls[None, :], params)
+    flow, f_I, cost = scan
     H = _hamiltonian(flow, f_I, cost, DS[:, None], DIp[:, None], DIm[:, None])
     k = np.argmin(H, axis=1)          # first minimum = smallest L
     rows = np.arange(I.size)
@@ -349,9 +380,10 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
         v[0] = 0.0
         residual = math.inf
         L_cur = None
+        scan = _row_scan(S, I_act, Ls, params)
         for it in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                S, I_act, v, v_prev, hS, hI, Ls, params, refine, L_cur)
+                scan, S, I_act, v, v_prev, hS, hI, Ls, params, refine, L_cur)
             L_cur = Lk
             residual = float(np.max(np.abs(rho * v[1:] - Hk)))
             if residual < tol:
@@ -387,8 +419,9 @@ def _extract_policy(V, params, grid, Ls, refine):
     L_field = np.zeros((grid.n_S, grid.n_I))
     for i in range(grid.n_S):
         v_prev = V[i - 1] if i > 0 else V[0]   # flow = 0 at S = 0
-        _, Lk, _, _, _ = _row_minimize(sN[i], I_act, V[i], v_prev, hS, hI,
-                                       Ls, params, refine)
+        scan = _row_scan(sN[i], I_act, Ls, params)
+        _, Lk, _, _, _ = _row_minimize(scan, sN[i], I_act, V[i], v_prev, hS,
+                                       hI, Ls, params, refine)
         L_field[i, 1:] = Lk
     return L_field
 
@@ -420,8 +453,9 @@ def bellman_residual(value_field: ValueField, params: PlannerParams,
     I_act = iN[1:]
     worst = 0.0
     for i in range(1, grid.n_S):
-        Hk, _, _, _, _ = _row_minimize(sN[i], I_act, V[i], V[i - 1], hS, hI,
-                                       Ls, params, refine)
+        scan = _row_scan(sN[i], I_act, Ls, params)
+        Hk, _, _, _, _ = _row_minimize(scan, sN[i], I_act, V[i], V[i - 1],
+                                       hS, hI, Ls, params, refine)
         worst = max(worst, float(np.max(np.abs(rho * V[i, 1:] - Hk))))
     return worst
 
@@ -447,16 +481,22 @@ class ScenarioSummary:
 
 
 def _policy_controller(policy: PolicyField | None, params: PlannerParams):
+    """The closed-loop control of _integrate: control(S, I, R, D, t) -> L.
+
+    L is the policy field's bilinear interpolation at (S, I), read in
+    place from the field and clamped to [0, L_bar], so every stage passes
+    the integrator's range check; None gives no lockdown. It depends on
+    S and I only. Its arithmetic is that of the interpolation on numpy
+    scalars, operation for operation, so simulations equal the array
+    reference in tests/test_rk4_reference.py bit for bit.
+    """
     if policy is None:
-        return lambda state, t: 0.0
-    s_nodes = policy.grid.s_nodes()
-    i_nodes = policy.grid.i_nodes()
-    values = policy.lockdown
+        return lambda S, I, R, D, t: 0.0
+    at = policy._interpolate
     L_bar = params.L_bar
 
-    def control(state, t):
-        L = _bilinear(s_nodes, i_nodes, values, state.S, state.I)
-        return min(max(float(L), 0.0), L_bar)
+    def control(S, I, R, D, t):
+        return min(max(at(S, I), 0.0), L_bar)
 
     return control
 
@@ -464,11 +504,9 @@ def _policy_controller(policy: PolicyField | None, params: PlannerParams):
 def _discount_quadratures(params: PlannerParams):
     rho = params.r + params.nu
 
-    def extra(y, L, t):
+    def extra(S, I, L, t):
         disc = math.exp(-rho * t)
-        gdp = params.w * L * (params.tau * (y[0] + y[1]) + (1 - params.tau))
-        deaths = (params.phi0 + params.kappa * y[1]) * y[1] \
-            * (params.cost_per_death + params.chi)
+        gdp, deaths = _flow_cost_terms(S, I, L, params)
         return (disc * gdp, disc * deaths)
 
     return extra

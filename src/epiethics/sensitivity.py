@@ -113,19 +113,38 @@ class SensitivityReport:
         return (self.baseline,) + self.rows + self.ladder
 
 
-def _scenario(label: str, cost: float, params: PlannerParams, grid: GridSpec,
+def _scenario(label: str, params: PlannerParams, grid: GridSpec,
               state0: EpidemicState, horizon: float, dt: float,
               tol, max_iters: int):
-    p = replace(params, cost_per_death=cost)
-    _, policy = solve_value_function(p, grid, tol=tol, max_iters=max_iters)
-    _, summary = simulate_optimal(policy, p, state0, horizon, dt)
-    row = SensitivityRow(label=label, cost_per_death=cost,
+    _, policy = solve_value_function(params, grid, tol=tol,
+                                     max_iters=max_iters)
+    _, summary = simulate_optimal(policy, params, state0, horizon, dt)
+    row = SensitivityRow(label=label, cost_per_death=params.cost_per_death,
                          peak_L=summary.peak_L,
                          lockdown_years=summary.lockdown_years,
                          deaths=summary.total_deaths,
                          gdp_loss=summary.gdp_loss,
                          value=summary.value)
     return row, policy
+
+
+def _failed(label: str, cost: float, exc: Exception):
+    logger.warning("scenario %s failed: %s", label, exc)
+    return SensitivityRow(label=label, cost_per_death=cost,
+                          error=str(exc)), None
+
+
+def _priced_scenario(label: str, cost: float, params: PlannerParams, *args):
+    # A cost the params reject or a failed solve becomes an error row;
+    # any other error is a fault and propagates.
+    try:
+        priced = replace(params, cost_per_death=cost)
+    except ValueError as exc:
+        return _failed(label, cost, exc)
+    try:
+        return _scenario(label, priced, *args)
+    except (SolverConvergenceError, SolverNumericalError) as exc:
+        return _failed(label, cost, exc)
 
 
 def run_sensitivity(params: PlannerParams, criteria,
@@ -138,31 +157,30 @@ def run_sensitivity(params: PlannerParams, criteria,
                     max_iters: int = 500) -> SensitivityReport:
     """Solve the planner problem once per criterion-derived death cost.
 
-    The baseline row uses params.cost_per_death as given. A failing
-    scenario (non-convergence, invalid derived cost) is recorded with
-    its error message and the sweep continues. The report also carries
-    the pairwise sup-norm distance between the criterion policies.
+    The baseline row uses params.cost_per_death as given, and its
+    failures propagate. A criterion or ladder scenario whose cost cannot
+    be derived or is rejected (ValueError), or whose solve fails
+    (SolverConvergenceError, SolverNumericalError), is recorded with its
+    error message and the sweep continues; any other error propagates.
+    The report also carries the pairwise sup-norm distance between the
+    criterion policies.
     """
     if state0 is None:
         state0 = EpidemicState(S=0.98, I=0.02)
 
-    baseline, _ = _scenario("benchmark", params.cost_per_death, params, grid,
-                            state0, horizon, dt, tol, max_iters)
+    args = (grid, state0, horizon, dt, tol, max_iters)
+    baseline, _ = _scenario("benchmark", params, *args)
 
     rows = []
     policies = []
     for crit in criteria:
         label = crit.label
-        cost = math.nan
         try:
             cost = death_cost_from_criterion(crit, reference_pop, victim)
-            row, policy = _scenario(label, cost, params, grid, state0,
-                                    horizon, dt, tol, max_iters)
-        except (SolverConvergenceError, SolverNumericalError,
-                ValueError) as exc:
-            logger.warning("criterion %s failed: %s", label, exc)
-            row, policy = SensitivityRow(label=label, cost_per_death=cost,
-                                         error=str(exc)), None
+        except ValueError as exc:
+            row, policy = _failed(label, math.nan, exc)
+        else:
+            row, policy = _priced_scenario(label, cost, params, *args)
         rows.append(row)
         policies.append((label, policy))
 
@@ -180,14 +198,7 @@ def run_sensitivity(params: PlannerParams, criteria,
     ladder_rows = []
     for cost in ladder:
         cost = float(cost)
-        try:
-            row, _ = _scenario(f"fixed:{cost:g}", cost, params, grid, state0,
-                               horizon, dt, tol, max_iters)
-        except (SolverConvergenceError, SolverNumericalError,
-                ValueError) as exc:
-            logger.warning("fixed cost %g failed: %s", cost, exc)
-            row = SensitivityRow(label=f"fixed:{cost:g}", cost_per_death=cost,
-                                 error=str(exc))
+        row, _ = _priced_scenario(f"fixed:{cost:g}", cost, params, *args)
         ladder_rows.append(row)
 
     return SensitivityReport(baseline=baseline, rows=tuple(rows),

@@ -241,6 +241,34 @@ def test_escape_raises_integration_error(monkeypatch):
                              horizon=1.0, dt=1 / 365)
 
 
+@pytest.mark.parametrize("bad", [-0.01, PARAMS.L_bar + 0.01])
+def test_integrator_rejects_lockdown_outside_range(bad):
+    with pytest.raises(ValueError, match="lockdown"):
+        integrate_trajectory(START, constant(bad), PARAMS,
+                             horizon=1.0, dt=1 / 365)
+    # A control that turns bad inside a step is caught at that stage.
+    def late(state, t):
+        return bad if t > 0.5 + 0.25 / 365 else 0.0
+
+    with pytest.raises(ValueError, match="lockdown"):
+        integrate_trajectory(START, late, PARAMS, horizon=1.0, dt=1 / 365)
+
+
+def test_control_sees_the_state_and_stage_time():
+    seen = []
+
+    def control(state, t):
+        seen.append((type(state), state.S + state.I + state.R + state.D, t))
+        return 0.0
+
+    dt = stability_bound(PARAMS)
+    integrate_trajectory(START, control, PARAMS, horizon=dt, dt=dt)
+    # Four RK4 stages, then the lockdown recorded at the final sample.
+    assert [kind for kind, _, _ in seen] == [EpidemicState] * 5
+    assert [t for _, _, t in seen] == [0.0, 0.5 * dt, 0.5 * dt, dt, dt]
+    assert all(abs(total - 1.0) < 1e-12 for _, total, _ in seen)
+
+
 def test_trajectory_indexing():
     traj = integrate_trajectory(START, constant(0.0), PARAMS,
                                 horizon=0.5, dt=1 / 365)

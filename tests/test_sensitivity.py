@@ -150,6 +150,34 @@ def test_failed_rows_are_recorded_and_skipped(monkeypatch):
     assert math.isnan(rep.policy_diffs[0][2])
 
 
+def test_only_cost_and_solver_failures_become_rows(monkeypatch):
+    from epiethics import sensitivity as mod
+
+    real_value = mod.criterion_value
+    monkeypatch.setattr(mod, "criterion_value",
+                        lambda x, crit: -real_value(x, crit))
+    rep = run_sensitivity(PARAMS, (WelfareCriterion("CU"),), grid=SMALL,
+                          ladder=(-5.0,))
+    # A negative derived cost, and a negative fixed cost the parameters
+    # reject, are recorded as error rows.
+    (derived,), (fixed,) = rep.rows, rep.ladder
+    assert "negatively" in derived.error and math.isnan(derived.cost_per_death)
+    assert "cost_per_death" in fixed.error and fixed.cost_per_death == -5.0
+
+    # A ValueError from inside a scenario is a fault, not a row.
+    real_simulate = mod.simulate_optimal
+
+    def broken(policy, params, *args):
+        if params.cost_per_death != PARAMS.cost_per_death:
+            raise ValueError("injected fault")
+        return real_simulate(policy, params, *args)
+
+    monkeypatch.setattr(mod, "criterion_value", real_value)
+    monkeypatch.setattr(mod, "simulate_optimal", broken)
+    with pytest.raises(ValueError, match="injected fault"):
+        run_sensitivity(PARAMS, (WelfareCriterion("AU"),), grid=SMALL)
+
+
 def test_report_rows_expose_scenario_outcomes(report):
     for row in (report.baseline,) + report.rows:
         assert row.ok
