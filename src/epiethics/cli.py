@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -94,8 +95,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _cmd_solve(cfg: RunConfig, out: Path):
     value, policy = solve_value_function(cfg.params, cfg.grid, tol=cfg.tol,
                                          max_iters=cfg.max_iters)
+    # Both files carry the S,I,V,L schema, so the fields are formatted once.
     write_fields_csv(out / "value.csv", value, policy)
-    write_fields_csv(out / "policy.csv", value, policy)
+    shutil.copyfile(out / "value.csv", out / "policy.csv")
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, no_control: bool):
@@ -142,9 +144,6 @@ def _cmd_sensitivity(cfg: RunConfig, out: Path):
                              state0=cfg.state0(), horizon=cfg.horizon,
                              dt=cfg.dt, ladder=cfg.ladder, tol=cfg.tol,
                              max_iters=cfg.max_iters)
-    for row in report.all_rows():
-        if row.error:
-            logger.warning("row %s failed: %s", row.label, row.error)
     write_sensitivity_csv(out / "sensitivity.csv", report)
     write_policy_diffs_csv(out / "policy_diffs.csv", report)
 

@@ -5,9 +5,19 @@ minimize the discounted stream of lockdown output losses plus death
 costs, with effective discount r + nu (pure time preference plus the
 vaccine arrival hazard). The stationary Bellman equation is discretized
 on a rectangular (S, I) grid with first-order upwind differences — the
-one-sided difference is taken in the direction the state drifts — and
-the pointwise minimization scans a uniform control grid followed by one
-quadratic refinement, breaking ties toward the smaller L.
+one-sided difference is taken in the direction the state drifts.
+
+The pointwise minimization over L is exact. Infections scale with
+(1 - theta*L)^2, so at each node the discrete Hamiltonian is quadratic
+in L on either side of L_c = (1 - sqrt(gamma/(beta*S)))/theta, where the
+I-drift, and with it the upwind branch, changes sign. Its minimum over
+[0, L_bar] is therefore one of five candidates, each clipped to
+[0, L_bar]: 0, L_bar, L_c and the two branch vertices
+L = (1 - a/(2*beta*S*I*theta*(D_I - D_S)))/theta, with a the output lost
+per unit of lockdown and D_I the upwind I-difference of that branch.
+This is the grid form of the first-order condition of Alvarez, Argente
+& Lippi (AER: Insights 2021). Ties go to the smaller L. A finite control
+set can be given instead; the tests' oracles use one.
 
 S never increases, so each S-row of the discrete system depends only on
 itself and on the row below. Rows are solved in ascending S order, each
@@ -82,7 +92,8 @@ class GridSpec:
 
     The physical states live in the lower triangle S + I <= 1; nodes
     above the diagonal are kept so that upwind stencils at the diagonal
-    are complete. n_L is the size of the control scan grid.
+    are complete. n_L is kept for config compatibility only: the solver
+    minimizes over the control exactly, and no solve reads n_L.
     """
 
     n_S: int = 300
@@ -100,9 +111,6 @@ class GridSpec:
 
     def i_nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_I)
-
-    def controls(self, L_bar: float) -> np.ndarray:
-        return np.linspace(0.0, L_bar, self.n_L)
 
 
 def _bilinear(grid: GridSpec, values: np.ndarray):
@@ -246,24 +254,38 @@ def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
     return cost - flow * DS + np.where(f_I > 0.0, f_I * DIp, f_I * DIm)
 
 
-def _row_scan(S, I, Ls, params: PlannerParams):
-    # _row_quantities of one S-row over the nodes I x the scan grid Ls.
-    # They do not depend on V, so a row's policy iteration computes them
-    # once.
-    return _row_quantities(S, I[:, None], Ls[None, :], params)
+def _row_candidates(S, I, DS, DIp, DIm, params: PlannerParams):
+    # The five candidate controls of the module docstring at every node
+    # of one S-row, clipped to [0, L_bar] and sorted, so that an argmin
+    # over them breaks ties toward the smaller L.
+    theta = params.theta
+    L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
+    a = params.w * (params.tau * (S + I) + (1 - params.tau))
+    scale = 2.0 * params.beta_contact * S * I * theta
+    cand = np.empty((I.size, 5))
+    cand[:, 0] = 0.0
+    cand[:, 1] = params.L_bar
+    cand[:, 2] = L_c
+    for col, DI in ((3, DIp), (4, DIm)):
+        # The branch is a*L + curv*(1 - theta*L)^2/(2*theta) plus terms
+        # free of L; its vertex lies above 0 only where curv > a (> 0).
+        curv = scale * (DI - DS)
+        above = curv > a
+        cand[:, col] = np.where(
+            above, (1.0 - a / np.where(above, curv, 1.0)) / theta, 0.0)
+    np.clip(cand, 0.0, params.L_bar, out=cand)
+    cand.sort(axis=1)
+    return cand
 
 
-def _row_minimize(scan, S, I, v_row, v_prev, hS, hI, Ls, params, refine,
-                  L_cur=None):
-    """Scan + refine the control at every active node of one S-row.
+def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None):
+    """Minimize the upwind Hamiltonian at every active node of one S-row.
 
-    scan is _row_scan(S, I, Ls, params). Returns the minimized
-    Hamiltonian and the minimizing L with its drift/cost pieces. v_row
-    is the full current row (index 0 pinned); v_prev is the full row
-    below. When the incumbent policy L_cur is given it stays unless a
-    candidate is strictly better, which keeps the policy iteration
-    monotone (refined candidates off the scan grid would otherwise allow
-    two policies to trade places forever).
+    v_row is the full current row (index 0 pinned); v_prev is the full
+    row below. With controls=None the minimum over [0, L_bar] is exact
+    (see _row_candidates); otherwise it is taken over the sorted finite
+    set controls. Ties go to the smaller L. Returns the minimized
+    Hamiltonian and the minimizing L with its drift/cost pieces.
     """
     vj = v_row[1:]
     DS = (vj - v_prev[1:]) / hS
@@ -272,49 +294,16 @@ def _row_minimize(scan, S, I, v_row, v_prev, hS, hI, Ls, params, refine,
     DIp[-1] = 0.0   # no upwind neighbour above the top edge
     DIm = (v_row[1:] - v_row[:-1]) / hI
 
-    flow, f_I, cost = scan
+    if controls is None:
+        Ls = _row_candidates(S, I, DS, DIp, DIm, params)
+    else:
+        Ls = np.broadcast_to(controls, (I.size, controls.size))
+    flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params)
     H = _hamiltonian(flow, f_I, cost, DS[:, None], DIp[:, None], DIm[:, None])
     k = np.argmin(H, axis=1)          # first minimum = smallest L
     rows = np.arange(I.size)
-    Hk = H[rows, k]
-    Lk = Ls[k]
-    flow_k = flow[rows, k]
-    fI_k = f_I[rows, k]
-    cost_k = cost[rows, k]
-
-    if refine and Ls.size >= 3:
-        dL = Ls[1] - Ls[0]
-        interior = (k >= 1) & (k <= Ls.size - 2)
-        km = np.clip(k - 1, 0, Ls.size - 1)
-        kp = np.clip(k + 1, 0, Ls.size - 1)
-        H0 = H[rows, km]
-        H2 = H[rows, kp]
-        denom = H0 - 2.0 * Hk + H2
-        ok = interior & (denom > 0.0)
-        shift = np.where(ok, 0.5 * dL * (H0 - H2) / np.where(ok, denom, 1.0),
-                         0.0)
-        Lq = np.clip(Lk + shift, np.maximum(Lk - dL, 0.0),
-                     np.minimum(Lk + dL, params.L_bar))
-        flow_q, fI_q, cost_q = _row_quantities(S, I, Lq, params)
-        Hq = _hamiltonian(flow_q, fI_q, cost_q, DS, DIp, DIm)
-        better = ok & (Hq < Hk)       # accept only strict improvements
-        Hk = np.where(better, Hq, Hk)
-        Lk = np.where(better, Lq, Lk)
-        flow_k = np.where(better, flow_q, flow_k)
-        fI_k = np.where(better, fI_q, fI_k)
-        cost_k = np.where(better, cost_q, cost_k)
-
-    if L_cur is not None:
-        flow_c, fI_c, cost_c = _row_quantities(S, I, L_cur, params)
-        Hc = _hamiltonian(flow_c, fI_c, cost_c, DS, DIp, DIm)
-        keep = Hc <= Hk
-        Hk = np.where(keep, Hc, Hk)
-        Lk = np.where(keep, L_cur, Lk)
-        flow_k = np.where(keep, flow_c, flow_k)
-        fI_k = np.where(keep, fI_c, fI_k)
-        cost_k = np.where(keep, cost_c, cost_k)
-
-    return Hk, Lk, flow_k, fI_k, cost_k
+    return (H[rows, k], Ls[rows, k], flow[rows, k], f_I[rows, k],
+            cost[rows, k])
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
@@ -333,18 +322,30 @@ def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
     return solve_banded((1, 1), ab, rhs)
 
 
+def _control_set(controls, params: PlannerParams):
+    # None (the exact minimizer) or the sorted finite control set.
+    if controls is None:
+        return None
+    Ls = np.sort(np.asarray(controls, dtype=float))
+    if Ls.size < 1 or Ls[0] < 0.0 or Ls[-1] > params.L_bar:
+        raise ValueError("controls must lie within [0, L_bar]")
+    return Ls
+
+
 def solve_value_function(params: PlannerParams, grid: GridSpec,
                          tol: float | None = None, max_iters: int = 500,
-                         controls=None, refine: bool = True):
+                         controls=None):
     """Solve the discrete Bellman equation; returns (ValueField, PolicyField).
 
     The I = 0 edge is pinned at 0 and the S = 0 edge at its closed form.
     Interior rows are solved in ascending S order, each by policy
     iteration until the row's sup-norm Bellman residual drops below tol
     (default 1e-8 * w); max_iters bounds the iterations spent on any one
-    row. The returned policy attains the minimum of the discretized
-    Hamiltonian at the converged values, with ties broken toward
-    smaller L.
+    row. Each step minimizes the discrete Hamiltonian exactly over
+    [0, L_bar], or over the finite set controls when one is given. The
+    returned policy is the minimizer of the row's last step, which is
+    taken at the converged values, with ties broken toward smaller L;
+    it is 0 on both pinned edges.
     """
     if tol is None:
         tol = 1e-8 * params.w
@@ -352,16 +353,11 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if controls is None:
-        Ls = grid.controls(params.L_bar)
-    else:
-        Ls = np.sort(np.asarray(controls, dtype=float))
-        if Ls.size < 1 or Ls[0] < 0.0 or Ls[-1] > params.L_bar:
-            raise ValueError("controls must lie within [0, L_bar]")
-        refine = refine and Ls.size >= 3
+    Ls = _control_set(controls, params)
 
-    logger.info("solving %dx%d grid, %d controls, R0=%.3f",
-                grid.n_S, grid.n_I, Ls.size, basic_reproduction_number(params))
+    logger.info("solving %dx%d grid, %s, R0=%.3f", grid.n_S, grid.n_I,
+                "exact control" if Ls is None else f"{Ls.size} controls",
+                basic_reproduction_number(params))
 
     sN = grid.s_nodes()
     iN = grid.i_nodes()
@@ -372,6 +368,7 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
 
     V = np.zeros((grid.n_S, grid.n_I))
     V[0, :] = boundary_value_s_zero(iN, params)
+    L_field = np.zeros((grid.n_S, grid.n_I))
 
     for i in range(1, grid.n_S):
         S = sN[i]
@@ -379,12 +376,9 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
         v = v_prev.copy()             # warm start from the row below
         v[0] = 0.0
         residual = math.inf
-        L_cur = None
-        scan = _row_scan(S, I_act, Ls, params)
         for it in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                scan, S, I_act, v, v_prev, hS, hI, Ls, params, refine, L_cur)
-            L_cur = Lk
+                S, I_act, v, v_prev, hS, hI, params, Ls)
             residual = float(np.max(np.abs(rho * v[1:] - Hk)))
             if residual < tol:
                 break
@@ -402,49 +396,24 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
                 f"(last residual {residual:.3e})",
                 residual=residual, row=i)
         V[i] = v
+        L_field[i, 1:] = Lk
 
-    L_field = _extract_policy(V, params, grid, Ls, refine)
     logger.info("solve finished, V(1,1)=%.6f", V[-1, -1])
     return ValueField(grid, V), PolicyField(grid, L_field)
 
 
-def _extract_policy(V, params, grid, Ls, refine):
-    # One minimization pass at the converged values; rows with S = 0 and
-    # the I = 0 column cost nothing to lock down less, so L = 0 there.
-    sN = grid.s_nodes()
-    iN = grid.i_nodes()
-    hS = sN[1] - sN[0]
-    hI = iN[1] - iN[0]
-    I_act = iN[1:]
-    L_field = np.zeros((grid.n_S, grid.n_I))
-    for i in range(grid.n_S):
-        v_prev = V[i - 1] if i > 0 else V[0]   # flow = 0 at S = 0
-        scan = _row_scan(sN[i], I_act, Ls, params)
-        _, Lk, _, _, _ = _row_minimize(scan, sN[i], I_act, V[i], v_prev, hS,
-                                       hI, Ls, params, refine)
-        L_field[i, 1:] = Lk
-    return L_field
-
-
 def bellman_residual(value_field: ValueField, params: PlannerParams,
-                     controls=None, refine: bool = True) -> float:
+                     controls=None) -> float:
     """Sup-norm residual of the discrete Bellman equation at interior nodes.
 
-    Recomputed from scratch: the candidate controls are the scan grid
-    plus a fresh quadratic refinement. The solver's own convergence test
-    additionally keeps its incumbent control as a candidate — an
-    adaptively discovered point that can beat anything the fresh
-    refinement proposes — so on a converged field this residual reflects
-    the control-grid resolution, O((L_bar/(n_L-1))^2), rather than the
-    solve tolerance.
+    Recomputed from scratch with the solver's own minimizer: exact over
+    [0, L_bar] by default, so on a solved field it is below the solve
+    tolerance; over the finite set controls when one is given, which
+    measures how far that set falls short of the exact minimum.
     """
     grid = value_field.grid
     V = value_field.values
-    if controls is None:
-        Ls = grid.controls(params.L_bar)
-    else:
-        Ls = np.sort(np.asarray(controls, dtype=float))
-        refine = refine and Ls.size >= 3
+    Ls = _control_set(controls, params)
     sN = grid.s_nodes()
     iN = grid.i_nodes()
     hS = sN[1] - sN[0]
@@ -453,9 +422,8 @@ def bellman_residual(value_field: ValueField, params: PlannerParams,
     I_act = iN[1:]
     worst = 0.0
     for i in range(1, grid.n_S):
-        scan = _row_scan(sN[i], I_act, Ls, params)
-        Hk, _, _, _, _ = _row_minimize(scan, sN[i], I_act, V[i], V[i - 1],
-                                       hS, hI, Ls, params, refine)
+        Hk, _, _, _, _ = _row_minimize(sN[i], I_act, V[i], V[i - 1], hS, hI,
+                                       params, Ls)
         worst = max(worst, float(np.max(np.abs(rho * V[i, 1:] - Hk))))
     return worst
 

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, files, determinism."""
 
 import csv
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from epiethics.cli import main
 from epiethics.output import fmt
+from epiethics.planner import SolverConvergenceError
 
 FAST_GRID = "n_S=40\nn_I=40\nn_L=11\n"
 
@@ -42,7 +44,8 @@ def test_solve_writes_fields_and_manifest(tmp_path):
     header, rows = read_csv(out / "value.csv")
     assert header == ["S", "I", "V", "L"]
     assert len(rows) == 40 * 40
-    assert (out / "policy.csv").exists()
+    assert ((out / "policy.csv").read_bytes()
+            == (out / "value.csv").read_bytes())
     # numeric cells are decimal notation, never exponential
     for cell in rows[0] + rows[-1]:
         assert "e" not in cell and "E" not in cell
@@ -193,6 +196,29 @@ def test_sensitivity_outputs(tmp_path):
     dheader, drows = read_csv(out / "policy_diffs.csv")
     assert dheader == ["criterion_a", "criterion_b", "policy_supnorm_diff"]
     assert len(drows) == 1 and {drows[0][0], drows[0][1]} == {"CU", "AU"}
+
+
+def test_sensitivity_warns_once_per_failed_row(tmp_path, monkeypatch,
+                                               caplog):
+    from epiethics import sensitivity as mod
+
+    real = mod.solve_value_function
+
+    def flaky(params, grid, tol=None, max_iters=500, **kw):
+        if params.cost_per_death == 0.0:
+            raise SolverConvergenceError("induced failure", residual=1.0,
+                                         row=1)
+        return real(params, grid, tol=tol, max_iters=max_iters, **kw)
+
+    monkeypatch.setattr(mod, "solve_value_function", flaky)
+    cfg = write_cfg(tmp_path, "criteria=CU\nladder=0,20,0\nhorizon=2\n")
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        rc = main(["--config", str(cfg), "--out", str(out), "sensitivity"])
+    assert rc == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["scenario fixed:0 failed: induced failure"] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ Independent oracles used here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from epiethics import EpidemicState, PlannerParams
@@ -21,6 +23,7 @@ from epiethics.planner import (
     SolverConvergenceError,
     SolverNumericalError,
     ValueField,
+    _row_minimize,
     _row_quantities,
     bellman_residual,
     boundary_value_s_zero,
@@ -170,8 +173,7 @@ def test_solver_matches_pseudo_time_iteration():
     ]
     for grid, controls in cases:
         oracle = cfl_value_iteration(PARAMS, grid, controls)
-        vf, _ = solve_value_function(PARAMS, grid, controls=controls,
-                                     refine=False)
+        vf, _ = solve_value_function(PARAMS, grid, controls=controls)
         assert np.max(np.abs(oracle - vf.values)) < 1e-6
 
 
@@ -217,6 +219,39 @@ def test_grid_convergence_under_doubling():
 
 
 # ---------------------------------------------------------------------------
+# exact control minimizer
+# ---------------------------------------------------------------------------
+
+ROW = 9     # nodes per random value row, I = 0 included
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                       allow_subnormal=False),
+       L_bar=st.floats(0.0, 1.0, exclude_min=True),
+       tau=st.sampled_from((0, 1)),
+       cost_per_death=st.floats(0.0, 200.0),
+       S=st.floats(0.0, 1.0, exclude_min=True),
+       v_row=arrays(float, ROW, elements=st.floats(0.0, 10.0)),
+       v_prev=arrays(float, ROW, elements=st.floats(0.0, 10.0)))
+def test_exact_minimizer_is_no_worse_than_a_fine_scan(
+        theta, L_bar, tau, cost_per_death, S, v_row, v_prev):
+    # At every node the closed-form candidates must reach a Hamiltonian
+    # no larger than the best of 20001 evenly spaced controls, whatever
+    # the value rows are.
+    params = PlannerParams(theta=theta, L_bar=L_bar, tau=tau,
+                           cost_per_death=cost_per_death)
+    I = np.linspace(0.0, 1.0, ROW)[1:]
+    h = 1.0 / (ROW - 1)
+    H, L, _, _, _ = _row_minimize(S, I, v_row, v_prev, h, h, params)
+    scan = np.linspace(0.0, L_bar, 20001)
+    H_scan, _, _, _, _ = _row_minimize(S, I, v_row, v_prev, h, h, params,
+                                       controls=scan)
+    assert np.all(H <= H_scan)
+    assert np.all((L >= 0.0) & (L <= L_bar))
+
+
+# ---------------------------------------------------------------------------
 # solved-field invariants on the benchmark grid
 # ---------------------------------------------------------------------------
 
@@ -239,15 +274,16 @@ def test_policy_within_bounds(bench):
     assert pf.lockdown.max() <= PARAMS.L_bar
 
 
-def test_bellman_residual_at_control_resolution(bench):
-    # The external residual is limited by the control-grid resolution,
-    # (0.7/50)^2 = 2e-4, not by the 1e-8 solve tolerance (see
-    # bellman_residual's docstring); observed ~1.7e-5 on this grid.
+def test_bellman_residual_at_solve_tolerance(bench):
+    # The control minimization is exact, so the external residual is
+    # bounded by the 1e-8 * w solve tolerance, not by a control grid.
     vf, _ = bench
-    assert bellman_residual(vf, PARAMS) < 1e-4 * PARAMS.w
-    # Against a scan-only candidate set the field is still consistent
-    # at the same resolution.
-    assert bellman_residual(vf, PARAMS, refine=False) < 1e-4 * PARAMS.w
+    assert bellman_residual(vf, PARAMS) < 1e-8 * PARAMS.w
+    # Against a 51-point control scan the field is still consistent at
+    # that scan's resolution; observed ~2.1e-5 on this grid.
+    assert bellman_residual(
+        vf, PARAMS, controls=np.linspace(0.0, PARAMS.L_bar, 51)) \
+        < 1e-4 * PARAMS.w
 
 
 def test_lockdown_region_shape(bench):
