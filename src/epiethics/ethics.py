@@ -15,7 +15,10 @@ Five criteria are supported:
 check_axiom runs seeded randomized searches for counterexamples to the
 classic axioms A1-A8 on small universes, so every reported witness is
 replayable and small enough to verify by hand. Verdicts are statements
-about the sampled universe, not proofs.
+about the sampled universe, not proofs. Except for A6 and A7, whose
+draws depend on earlier results, a checker first draws all of its cases
+and then evaluates them in one vectorised batch per population size;
+the first failing case in draw order becomes the witness.
 """
 
 from __future__ import annotations
@@ -212,26 +215,50 @@ def default_criteria() -> tuple:
     )
 
 
+def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
+    """Welfare of each row of a (k, n) array of levels.
+
+    Each row is sorted ascending before aggregation, so a value is
+    exactly invariant under permutations of its row.
+    """
+    n = levels.shape[1]
+    u = crit.u(np.sort(levels, axis=1))
+    if crit.kind == "CU":
+        return np.sum(u, axis=1)
+    if crit.kind in ("TU", "CLU"):
+        uc = float(crit.u(crit.c if crit.kind == "CLU" else 0.0))
+        return np.sum(u - uc, axis=1)
+    if crit.kind == "AU":
+        return np.sum(u, axis=1) / n
+    # RDCLU: ascending rank r = 1..n gets weight rank_discount**r
+    uc = float(crit.u(crit.c))
+    weights = crit.rank_discount ** np.arange(1, n + 1, dtype=float)
+    return np.sum(weights * (u - uc), axis=1)
+
+
+def _criterion_values(rows, crit: WelfareCriterion) -> np.ndarray:
+    """Welfare of each row of levels, one _welfare pass per row length.
+
+    Grouping rows by length, rather than padding them, keeps every value
+    bit-identical to the one-row evaluation of criterion_value.
+    """
+    values = np.empty(len(rows))
+    by_length = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for idx in by_length.values():
+        values[idx] = _welfare(np.array([rows[i] for i in idx], dtype=float),
+                               crit)
+    return values
+
+
 def criterion_value(x: Allocation, crit: WelfareCriterion) -> float:
     """Real-valued welfare of an allocation under a criterion.
 
     Levels are sorted ascending before aggregation, so the value is
     exactly invariant under permutations.
     """
-    levels = np.sort(np.asarray(x.levels, dtype=float))
-    u = crit.u(levels)
-    u = np.atleast_1d(u)
-    if crit.kind == "CU":
-        return float(np.sum(u))
-    if crit.kind in ("TU", "CLU"):
-        uc = float(crit.u(crit.c if crit.kind == "CLU" else 0.0))
-        return float(np.sum(u - uc))
-    if crit.kind == "AU":
-        return float(np.sum(u) / u.size)
-    # RDCLU: ascending rank r = 1..n gets weight rank_discount**r
-    uc = float(crit.u(crit.c))
-    weights = crit.rank_discount ** np.arange(1, u.size + 1, dtype=float)
-    return float(np.sum(weights * (u - uc)))
+    return float(_welfare(np.array([x.levels]), crit)[0])
 
 
 def _uniform_value(level: float, n, crit: WelfareCriterion):
@@ -256,21 +283,20 @@ def _uniform_value(level: float, n, crit: WelfareCriterion):
     return float(out) if out.ndim == 0 else out
 
 
-def _indifference_tol(va: float, vb: float) -> float:
-    return 1e-12 * max(1.0, abs(va), abs(vb))
+def _orders(va, vb) -> np.ndarray:
+    """Ordering codes (-1, 0, 1) of va against vb, elementwise.
+
+    Values within 1e-12 relative (absolute below magnitude 1) are
+    indifferent (0).
+    """
+    tol = 1e-12 * np.maximum(1.0, np.maximum(abs(va), abs(vb)))
+    return np.where(abs(va - vb) <= tol, 0, (va > vb) * 2 - 1)
 
 
 def compare(x: Allocation, y: Allocation, crit: WelfareCriterion) -> Ordering:
     """Order x against y; ties within 1e-12 relative are Indifferent."""
-    vx = criterion_value(x, crit)
-    vy = criterion_value(y, crit)
-    if abs(vx - vy) <= _indifference_tol(vx, vy):
-        return Ordering.Indifferent
-    return Ordering.StrictlyBetter if vx > vy else Ordering.StrictlyWorse
-
-
-def _strict(delta: float, va: float, vb: float) -> bool:
-    return delta > _indifference_tol(va, vb)
+    return Ordering(int(_orders(criterion_value(x, crit),
+                                criterion_value(y, crit))))
 
 
 @dataclass(frozen=True)
@@ -318,9 +344,25 @@ class AxiomReport:
                 f"| {self.verdict}{extra}{wit}")
 
 
-def _rand_alloc(rng, pop_cap, lo, hi, size=None) -> Allocation:
-    n = int(rng.integers(1, pop_cap + 1)) if size is None else size
-    return Allocation(tuple(rng.uniform(lo, hi, n)))
+def _rand_levels(rng, pop_cap, lo, hi) -> np.ndarray:
+    n = int(rng.integers(1, pop_cap + 1))
+    return rng.uniform(lo, hi, n)
+
+
+def _case_values(cases, crit) -> np.ndarray:
+    """Welfare of every row of every case, shape (cases, rows per case)."""
+    width = len(cases[0])
+    rows = [row for case in cases for row in case]
+    return _criterion_values(rows, crit).reshape(len(cases), width)
+
+
+def _first(mask) -> Optional[int]:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _alloc(levels) -> Allocation:
+    return Allocation(tuple(levels))
 
 
 # Hand-checkable probe instances tried before random sampling, so that
@@ -330,84 +372,114 @@ _A5_PROBES = [((10.0,), (1.0, 1.0, 1.0), -20.0)]
 _A8_PROBES = [((0.0, 20.0), (4.0, 5.0), (4.5,), (30.0,))]
 _NEG_EXPANSION_PROBES = [((-10.0, -10.0), -1.0)]
 
+# The batched checkers below draw every case first, in the order a
+# case-by-case loop would, evaluate all of them with one
+# _criterion_values call, and report the first failing case in that
+# order; only that case is turned into Allocations for its witness.
+
 
 def _check_order(crit, rng, samples, lo, hi, pop_cap):
-    better_eq = (Ordering.StrictlyBetter, Ordering.Indifferent)
-    for _ in range(samples):
-        x = _rand_alloc(rng, pop_cap, lo, hi)
-        y = _rand_alloc(rng, pop_cap, lo, hi)
-        z = _rand_alloc(rng, pop_cap, lo, hi)
-        if compare(x, x, crit) is not Ordering.Indifferent:
-            return "fail", Witness("reflexivity", {"x": x})
-        xy = compare(x, y, crit)
-        yz = compare(y, z, crit)
-        xz = compare(x, z, crit)
-        if xy in better_eq and yz in better_eq and xz not in better_eq:
-            return "fail", Witness("transitivity",
-                                   {"x": x, "y": y, "z": z, "x_vs_y": xy,
-                                    "y_vs_z": yz, "x_vs_z": xz})
-    return "pass", None
+    cases = [[_rand_levels(rng, pop_cap, lo, hi) for _ in range(3)]
+             for _ in range(samples)]
+    vx, vy, vz = _case_values(cases, crit).T
+    reflexive = _orders(vx, vx) == 0
+    xy, yz, xz = _orders(vx, vy), _orders(vy, vz), _orders(vx, vz)
+    intransitive = (xy >= 0) & (yz >= 0) & (xz < 0)
+    i = _first(~reflexive | intransitive)
+    if i is None:
+        return "pass", None
+    x, y, z = (_alloc(r) for r in cases[i])
+    if not reflexive[i]:
+        return "fail", Witness("reflexivity", {"x": x})
+    return "fail", Witness("transitivity",
+                           {"x": x, "y": y, "z": z,
+                            "x_vs_y": Ordering(int(xy[i])),
+                            "y_vs_z": Ordering(int(yz[i])),
+                            "x_vs_z": Ordering(int(xz[i]))})
+
+
+_CONTINUITY_DELTAS = (1e-4, 1e-6, 1e-8)
 
 
 def _check_continuity(crit, rng, samples, lo, hi, pop_cap):
     # Proxy: perturbing one level by delta moves the value by at most
     # K*delta for a finite empirical K, and the change vanishes with
     # delta. This is a bounded-modulus proxy, not topological continuity.
-    worst_k = 0.0
+    # worst[i, j] is the running maximum quotient after delta j of
+    # sample i, as a sample-by-sample loop would hold it.
+    drawn, cases = [], []
     for _ in range(samples):
-        x = _rand_alloc(rng, pop_cap, lo, hi)
+        x = _rand_levels(rng, pop_cap, lo, hi)
         k = int(rng.integers(0, len(x)))
-        v0 = criterion_value(x, crit)
-        prev_change = None
-        for delta in (1e-4, 1e-6, 1e-8):
-            bumped = list(x.levels)
+        case = [x]
+        for delta in _CONTINUITY_DELTAS:
+            bumped = x.copy()
             bumped[k] += delta
-            change = abs(criterion_value(Allocation(tuple(bumped)), crit) - v0)
-            worst_k = max(worst_k, change / delta)
-            if prev_change is not None and change > prev_change + 1e-9:
-                return "fail", Witness("continuity",
-                                       {"x": x, "index": k,
-                                        "delta": delta}), worst_k
-            prev_change = change
-        if not math.isfinite(worst_k) or worst_k > 1e9:
-            return "fail", Witness("continuity",
-                                   {"x": x, "index": k,
-                                    "quotient": worst_k}), worst_k
-    return "pass", None, worst_k
+            case.append(bumped)
+        drawn.append((x, k))
+        cases.append(case)
+    v = _case_values(cases, crit)
+    change = np.abs(v[:, 1:] - v[:, :1])
+    quotients = (change / np.asarray(_CONTINUITY_DELTAS)).ravel()
+    # A running max from 0 that, like max(), passes over NaN quotients.
+    worst = np.fmax.accumulate(np.append(0.0, quotients))[1:].reshape(
+        change.shape)
+    grows = change[:, 1:] > change[:, :-1] + 1e-9
+    blows_up = ~np.isfinite(worst[:, -1]) | (worst[:, -1] > 1e9)
+    i = _first(grows.any(axis=1) | blows_up)
+    if i is None:
+        return "pass", None, float(worst[-1, -1])
+    x, k = drawn[i]
+    if grows[i].any():
+        j = int(np.argmax(grows[i])) + 1
+        return "fail", Witness("continuity",
+                               {"x": _alloc(x), "index": k,
+                                "delta": _CONTINUITY_DELTAS[j]}), \
+            float(worst[i, j])
+    worst_k = float(worst[i, -1])
+    return "fail", Witness("continuity",
+                           {"x": _alloc(x), "index": k,
+                            "quotient": worst_k}), worst_k
 
 
 def _check_suppes_sen(crit, rng, samples, lo, hi, pop_cap):
     # Construct pairs where x rank-dominates y strictly, then require
     # strict preference.
+    cases = []
     for _ in range(samples):
-        y = _rand_alloc(rng, pop_cap, lo, hi)
+        y = _rand_levels(rng, pop_cap, lo, hi)
         bumps = rng.uniform(0.1, 1.0, len(y))
-        xs = np.sort(np.asarray(y.levels)) + bumps
         perm = rng.permutation(len(y))
-        x = Allocation(tuple(xs[perm]))
-        if compare(x, y, crit) is not Ordering.StrictlyBetter:
-            return "fail", Witness("dominance", {"x": x, "y": y})
-    return "pass", None
+        cases.append(((np.sort(y) + bumps)[perm], y))
+    v = _case_values(cases, crit)
+    i = _first(_orders(v[:, 0], v[:, 1]) != 1)
+    if i is None:
+        return "pass", None
+    x, y = cases[i]
+    return "fail", Witness("dominance", {"x": _alloc(x), "y": _alloc(y)})
 
 
 def _existence_independence(crit, rng, samples, lo, hi, pop_cap, best):
     probes = _A4_PROBES if best else _A5_PROBES
-    cases = [(Allocation(px), Allocation(py), pz) for px, py, pz in probes]
+    drawn = [(np.array(px), np.array(py), pz) for px, py, pz in probes]
     for _ in range(samples):
-        x = _rand_alloc(rng, pop_cap, lo, hi)
-        y = _rand_alloc(rng, pop_cap, lo, hi)
+        x = _rand_levels(rng, pop_cap, lo, hi)
+        y = _rand_levels(rng, pop_cap, lo, hi)
         gap = rng.uniform(0.0, 2.0)
-        bound = max(max(x.levels), max(y.levels)) if best \
-            else min(min(x.levels), min(y.levels))
-        cases.append((x, y, bound + gap if best else bound - gap))
-    for x, y, z in cases:
-        before = compare(x, y, crit)
-        after = compare(x.append(z), y.append(z), crit)
-        if before is not after:
-            return "fail", Witness("independence",
-                                   {"x": x, "y": y, "z": z,
-                                    "before": before, "after": after})
-    return "pass", None
+        z = max(x.max(), y.max()) + gap if best \
+            else min(x.min(), y.min()) - gap
+        drawn.append((x, y, float(z)))
+    v = _case_values([(x, y, np.append(x, z), np.append(y, z))
+                      for x, y, z in drawn], crit)
+    before, after = _orders(v[:, 0], v[:, 1]), _orders(v[:, 2], v[:, 3])
+    i = _first(before != after)
+    if i is None:
+        return "pass", None
+    x, y, z = drawn[i]
+    return "fail", Witness("independence",
+                           {"x": _alloc(x), "y": _alloc(y), "z": z,
+                            "before": Ordering(int(before[i])),
+                            "after": Ordering(int(after[i]))})
 
 
 def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
@@ -447,8 +519,8 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
     for _ in range(pairs_budget):
         x = y = None
         for _ in range(200):
-            cx = _rand_alloc(rng, pop_cap, lo, hi)
-            cy = _rand_alloc(rng, pop_cap, lo, hi)
+            cx = _alloc(_rand_levels(rng, pop_cap, lo, hi))
+            cy = _alloc(_rand_levels(rng, pop_cap, lo, hi))
             if compare(cx, cy, crit) is Ordering.StrictlyBetter:
                 x, y = cx, cy
                 break
@@ -487,25 +559,25 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
 
 
 def _check_same_number(crit, rng, samples, lo, hi, pop_cap):
-    cases = [(Allocation(px), Allocation(py), Allocation(pu), Allocation(pv))
-             for px, py, pu, pv in _A8_PROBES]
+    drawn = [tuple(np.array(p) for p in probe) for probe in _A8_PROBES]
     for _ in range(samples):
         n = int(rng.integers(1, pop_cap + 1))
         m = int(rng.integers(1, pop_cap + 1))
-        cases.append((_rand_alloc(rng, pop_cap, lo, hi, n),
-                      _rand_alloc(rng, pop_cap, lo, hi, n),
-                      _rand_alloc(rng, pop_cap, lo, hi, m),
-                      _rand_alloc(rng, pop_cap, lo, hi, m)))
-    for x, y, u, v in cases:
-        with_u = compare(Allocation(x.levels + u.levels),
-                         Allocation(y.levels + u.levels), crit)
-        with_v = compare(Allocation(x.levels + v.levels),
-                         Allocation(y.levels + v.levels), crit)
-        if with_u is not with_v:
-            return "fail", Witness("same-number",
-                                   {"x": x, "y": y, "u": u, "v": v,
-                                    "with_u": with_u, "with_v": with_v})
-    return "pass", None
+        drawn.append((rng.uniform(lo, hi, n), rng.uniform(lo, hi, n),
+                      rng.uniform(lo, hi, m), rng.uniform(lo, hi, m)))
+    vals = _case_values([(np.concatenate((x, u)), np.concatenate((y, u)),
+                          np.concatenate((x, v)), np.concatenate((y, v)))
+                         for x, y, u, v in drawn], crit)
+    with_u = _orders(vals[:, 0], vals[:, 1])
+    with_v = _orders(vals[:, 2], vals[:, 3])
+    i = _first(with_u != with_v)
+    if i is None:
+        return "pass", None
+    x, y, u, v = (_alloc(r) for r in drawn[i])
+    return "fail", Witness("same-number",
+                           {"x": x, "y": y, "u": u, "v": v,
+                            "with_u": Ordering(int(with_u[i])),
+                            "with_v": Ordering(int(with_v[i]))})
 
 
 def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
@@ -515,9 +587,12 @@ def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
 
     The search is seeded and fully deterministic; small hand-checkable
     probe instances are tried before random sampling so that textbook
-    failures come back with readable witnesses. A6 and A7 are
-    existential constructions and may report "not-found-within-budget",
-    which is weaker than "fail".
+    failures come back with readable witnesses. A1-A5 and A8 draw all
+    their cases first, evaluate them in one batch per population size
+    and report the first failing case in draw order, the case a
+    case-by-case loop would stop at. A6 and A7 are existential
+    constructions, searched case by case, and may report
+    "not-found-within-budget", which is weaker than "fail".
     """
     if axiom not in AXIOM_IDS:
         raise ValueError(f"unknown axiom id {axiom!r}")
@@ -620,8 +695,7 @@ def repugnant_witness(crit: WelfareCriterion, base: Allocation,
     vb = criterion_value(base, crit)
     ns = np.arange(1, n_max + 1)
     vals = _uniform_value(epsilon, ns, crit)
-    strict = (vals - vb) > 1e-12 * np.maximum(1.0, np.maximum(np.abs(vals),
-                                                              abs(vb)))
+    strict = _orders(vals, vb) == 1
     if not strict.any():
         return None
     n_hit = int(ns[int(np.argmax(strict))])
@@ -656,8 +730,7 @@ def very_sadistic_witness(crit: WelfareCriterion,
             vneg = criterion_value(neg, crit)
             ns = np.arange(1, n_max + 1)
             vals = _uniform_value(v, ns, crit)
-            strict = (vneg - vals) > 1e-12 * np.maximum(
-                1.0, np.maximum(np.abs(vals), abs(vneg)))
+            strict = _orders(vneg, vals) == 1
             if not strict.any():
                 continue
             n_hit = int(ns[int(np.argmax(strict))])
@@ -679,15 +752,16 @@ def very_sadistic_witness(crit: WelfareCriterion,
 
 
 def _check_negative_expansion(crit, rng, samples, lo, hi, pop_cap):
-    cases = [(Allocation(px), pz) for px, pz in _NEG_EXPANSION_PROBES]
+    drawn = [(np.array(px), pz) for px, pz in _NEG_EXPANSION_PROBES]
     for _ in range(samples):
-        x = _rand_alloc(rng, pop_cap, lo, hi)
-        z = rng.uniform(min(lo, -1e-3), -1e-3)
-        cases.append((x, z))
-    for x, z in cases:
-        if compare(x.append(z), x, crit) is Ordering.StrictlyBetter:
-            return "fail", Witness("negative-expansion", {"x": x, "z": z})
-    return "pass", None
+        x = _rand_levels(rng, pop_cap, lo, hi)
+        drawn.append((x, rng.uniform(min(lo, -1e-3), -1e-3)))
+    v = _case_values([(np.append(x, z), x) for x, z in drawn], crit)
+    i = _first(_orders(v[:, 0], v[:, 1]) == 1)
+    if i is None:
+        return "pass", None
+    x, z = drawn[i]
+    return "fail", Witness("negative-expansion", {"x": _alloc(x), "z": z})
 
 
 # Published classification of these criteria, for side-by-side display:

@@ -69,17 +69,16 @@ def write_trajectory_csv(path, traj: Trajectory, stride: int = 1):
 
 
 def write_fields_csv(path, value: ValueField, policy: PolicyField):
-    grid = value.grid
-    s_nodes = grid.s_nodes()
-    i_nodes = grid.i_nodes()
+    # The S and I labels repeat across the grid, so each is formatted once.
+    s_labels = [fmt(s) for s in value.grid.s_nodes()]
+    i_labels = [fmt(i) for i in value.grid.i_nodes()]
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["S", "I", "V", "L"])
-        for i in range(grid.n_S):
-            for j in range(grid.n_I):
-                w.writerow([fmt(s_nodes[i]), fmt(i_nodes[j]),
-                            fmt(value.values[i, j]),
-                            fmt(policy.lockdown[i, j])])
+        for s_label, v_row, l_row in zip(s_labels, value.values.tolist(),
+                                         policy.lockdown.tolist()):
+            for i_label, v, L in zip(i_labels, v_row, l_row):
+                w.writerow([s_label, i_label, fmt(v), fmt(L)])
 
 
 def write_summary(path, summary: ScenarioSummary):

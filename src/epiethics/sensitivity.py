@@ -134,17 +134,26 @@ def _failed(label: str, cost: float, exc: Exception):
                           error=str(exc)), None
 
 
-def _priced_scenario(label: str, cost: float, params: PlannerParams, *args):
+def _priced_scenario(label: str, cost: float, params: PlannerParams,
+                     solved: dict, *args):
     # A cost the params reject or a failed solve becomes an error row;
-    # any other error is a fault and propagates.
+    # any other error is a fault and propagates. `solved` maps each cost
+    # already tried to its (row, policy) or its solver failure, so rows
+    # of equal cost share one solve and keep their own labels.
     try:
         priced = replace(params, cost_per_death=cost)
     except ValueError as exc:
         return _failed(label, cost, exc)
-    try:
-        return _scenario(label, priced, *args)
-    except (SolverConvergenceError, SolverNumericalError) as exc:
-        return _failed(label, cost, exc)
+    if cost not in solved:
+        try:
+            solved[cost] = _scenario(label, priced, *args)
+        except (SolverConvergenceError, SolverNumericalError) as exc:
+            solved[cost] = exc
+    outcome = solved[cost]
+    if isinstance(outcome, Exception):
+        return _failed(label, cost, outcome)
+    row, policy = outcome
+    return replace(row, label=label), policy
 
 
 def run_sensitivity(params: PlannerParams, criteria,
@@ -155,10 +164,12 @@ def run_sensitivity(params: PlannerParams, criteria,
                     horizon: float = 20.0, dt: float = 1.0 / 365.0,
                     ladder=(), tol=None,
                     max_iters: int = 500) -> SensitivityReport:
-    """Solve the planner problem once per criterion-derived death cost.
+    """Solve the planner problem once per distinct death cost.
 
     The baseline row uses params.cost_per_death as given, and its
-    failures propagate. A criterion or ladder scenario whose cost cannot
+    failures propagate. Criterion and ladder rows whose cost equals an
+    earlier row's reuse that row's solve, or its solver failure, under
+    their own labels. A criterion or ladder scenario whose cost cannot
     be derived or is rejected (ValueError), or whose solve fails
     (SolverConvergenceError, SolverNumericalError), is recorded with its
     error message and the sweep continues; any other error propagates.
@@ -169,7 +180,8 @@ def run_sensitivity(params: PlannerParams, criteria,
         state0 = EpidemicState(S=0.98, I=0.02)
 
     args = (grid, state0, horizon, dt, tol, max_iters)
-    baseline, _ = _scenario("benchmark", params, *args)
+    baseline, policy = _scenario("benchmark", params, *args)
+    solved = {params.cost_per_death: (baseline, policy)}
 
     rows = []
     policies = []
@@ -180,7 +192,8 @@ def run_sensitivity(params: PlannerParams, criteria,
         except ValueError as exc:
             row, policy = _failed(label, math.nan, exc)
         else:
-            row, policy = _priced_scenario(label, cost, params, *args)
+            row, policy = _priced_scenario(label, cost, params, solved,
+                                           *args)
         rows.append(row)
         policies.append((label, policy))
 
@@ -198,7 +211,8 @@ def run_sensitivity(params: PlannerParams, criteria,
     ladder_rows = []
     for cost in ladder:
         cost = float(cost)
-        row, _ = _priced_scenario(f"fixed:{cost:g}", cost, params, *args)
+        row, _ = _priced_scenario(f"fixed:{cost:g}", cost, params, solved,
+                                  *args)
         ladder_rows.append(row)
 
     return SensitivityReport(baseline=baseline, rows=tuple(rows),

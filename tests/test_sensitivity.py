@@ -5,6 +5,7 @@ statics live in the acceptance tests.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,3 +187,37 @@ def test_report_rows_expose_scenario_outcomes(report):
         assert row.value > 0.0
     costs = {row.label: row.cost_per_death for row in report.rows}
     assert costs["AU"] < costs["RDCLU(c=1,rd=0.9)"] < costs["CU"]
+
+
+def test_sweep_solves_each_distinct_cost_once(monkeypatch, report):
+    from epiethics import sensitivity as mod
+
+    real = mod.solve_value_function
+    solved_costs = []
+
+    def counting(params, grid, **kw):
+        solved_costs.append(params.cost_per_death)
+        return real(params, grid, **kw)
+
+    monkeypatch.setattr(mod, "solve_value_function", counting)
+    cached = run_sensitivity(PARAMS, default_criteria(), grid=SMALL,
+                             ladder=(0.0, 10.0, 20.0, 40.0))
+    monkeypatch.undo()
+    # Benchmark, CU, TU, CLU(c=1) and fixed:20 all cost 20.
+    costs = {row.cost_per_death for row in cached.all_rows()}
+    assert len(costs) == 6
+    assert sorted(solved_costs) == sorted(costs)
+    assert cached == report
+
+    # Without sharing: every row and policy from a solve of its own.
+    args = (SMALL, EpidemicState(S=0.98, I=0.02), 20.0, 1.0 / 365.0, None,
+            500)
+    alone = {row.label: mod._scenario(
+        row.label, replace(PARAMS, cost_per_death=row.cost_per_death), *args)
+        for row in cached.all_rows()}
+    assert all(alone[row.label][0] == row for row in cached.all_rows())
+    labels = [row.label for row in cached.rows]
+    diffs = tuple((a, b, float(np.max(np.abs(alone[a][1].lockdown
+                                             - alone[b][1].lockdown))))
+                  for i, a in enumerate(labels) for b in labels[i + 1:])
+    assert cached.policy_diffs == diffs
