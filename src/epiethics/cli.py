@@ -73,23 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    # replace() re-runs RunConfig's checks on the overridden values.
+    changes = {}
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        cfg = replace(cfg, seed=args.seed)
+        changes["seed"] = args.seed
     if args.out is not None:
-        if not args.out:
-            raise ConfigError("out_dir must not be empty")
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "tau", None) is not None:
-        cfg = replace(cfg, params=replace(cfg.params, tau=args.tau))
+        changes["out_dir"] = args.out
     if getattr(args, "samples", None) is not None:
-        if args.samples < 1:
-            raise ConfigError("samples must be at least 1")
-        cfg = replace(cfg, samples=args.samples)
+        changes["samples"] = args.samples
+    if getattr(args, "tau", None) is not None:
+        changes["params"] = replace(cfg.params, tau=args.tau)
     if getattr(args, "criterion", None) is not None:
-        cfg = replace(cfg, criteria=(criterion_from_spec(args.criterion),))
-    return cfg
+        changes["criteria"] = (criterion_from_spec(args.criterion),)
+    return replace(cfg, **changes)
 
 
 def _cmd_solve(cfg: RunConfig, out: Path):

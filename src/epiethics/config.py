@@ -1,22 +1,26 @@
 """Plain key=value run configuration.
 
 One `key=value` pair per line, `#` starts a comment, blank lines are
-ignored. Unknown keys, duplicate keys, malformed values and invariant
-violations are all rejected with the offending line number before any
-solver work starts. Omitted keys take the benchmark defaults;
-`phi0=auto`, `kappa=auto` and `tol=auto` ask for the derived values.
-serialize_config emits a canonical text that parses back to an equal
-RunConfig.
+ignored. Every key is declared once, in the `_SCHEMA` table: the
+dataclass that owns it (RunConfig, or its params, grid or victim), its
+field there, and how its text is parsed and written. Defaults and checks
+live in the owning dataclass, so an omitted key takes that dataclass's
+default and each value is checked by the dataclass that holds it;
+`phi0=auto`, `kappa=auto` and `tol=auto` ask for the derived values, as
+a default of None does. Unknown keys, duplicate keys, malformed values
+and invariant violations are all rejected with the offending line number
+before any solver work starts. serialize_config walks the same table and
+emits a canonical text that parses back to an equal RunConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .epidemic import EpidemicState, PlannerParams, stability_bound
-from .ethics import UtilityTransform, WelfareCriterion
+from .ethics import UtilityTransform, WelfareCriterion, default_criteria
 from .planner import GridSpec
 from .sensitivity import VictimProfile
 
@@ -31,38 +35,25 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration."""
+    """Invalid run configuration.
+
+    keys names the config keys the failed check read, preferred first;
+    parse_config reports the line of the first of them the text set.
+    """
+
+    def __init__(self, msg: str, keys: tuple = ()):
+        super().__init__(msg)
+        self.keys = keys
 
 
-_PARAM_KEYS = ("beta_contact", "gamma", "phi0", "kappa", "theta", "L_bar",
-               "tau", "r", "nu", "w", "cost_per_death", "chi")
-_GRID_KEYS = ("n_S", "n_I", "n_L")
-_FLOAT_KEYS = {"beta_contact", "gamma", "phi0", "kappa", "theta", "L_bar",
-               "r", "nu", "w", "cost_per_death", "chi", "tol", "S0", "I0",
-               "horizon", "dt", "level_min", "level_max", "victim_lived",
-               "victim_remaining", "exchange_rate"}
-_INT_KEYS = {"tau", "n_S", "n_I", "n_L", "max_iters", "output_stride",
-             "samples", "seed", "pop_cap"}
-_LIST_KEYS = {"reference_pop", "ladder"}
-
-KEY_ORDER = (
-    "beta_contact", "gamma", "phi0", "kappa", "theta", "L_bar", "tau",
-    "r", "nu", "w", "cost_per_death", "chi",
-    "n_S", "n_I", "n_L", "tol", "max_iters",
-    "S0", "I0", "horizon", "dt", "output_stride",
-    "criteria", "samples", "seed", "pop_cap", "level_min", "level_max",
-    "reference_pop", "victim_lived", "victim_remaining", "exchange_rate",
-    "ladder", "out_dir",
-)
-
-# Construction errors name dataclass fields; translate the few that
-# differ from their config keys.
-_FIELD_TO_KEY = {"lived": "victim_lived", "remaining": "victim_remaining"}
+def _check(ok: bool, msg: str, *keys: str):
+    if not ok:
+        raise ConfigError(msg, keys)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs, validated."""
+    """Everything a subcommand needs, validated on construction."""
 
     params: PlannerParams
     grid: GridSpec
@@ -73,7 +64,7 @@ class RunConfig:
     tol: Optional[float] = None        # None: solver default 1e-8 * w
     max_iters: int = 500
     output_stride: int = 1
-    criteria: tuple = ()
+    criteria: tuple = field(default_factory=default_criteria)
     samples: int = 1000
     seed: int = 0
     pop_cap: int = 8
@@ -84,15 +75,47 @@ class RunConfig:
     ladder: tuple = (0.0, 10.0, 20.0, 40.0)
     out_dir: str = "out"
 
+    def __post_init__(self):
+        _check(self.tol is None or self.tol > 0.0, "tol must be positive",
+               "tol")
+        for key in ("S0", "I0"):
+            v = getattr(self, key)
+            _check(0.0 <= v <= 1.0, f"{key} must lie in [0, 1], got {v!r}",
+                   key)
+        total = self.S0 + self.I0
+        _check(total <= 1.0 + 1e-12,
+               f"S0 + I0 must not exceed 1, got {total!r}", "I0", "S0")
+        _check(self.horizon > 0.0, "horizon must be positive", "horizon")
+        _check(self.dt > 0.0, "dt must be positive", "dt")
+        bound = stability_bound(self.params)
+        _check(self.dt <= bound * (1.0 + 1e-12),
+               f"dt={self.dt!r} exceeds the stability bound "
+               f"0.1/max(beta_contact, gamma) = {bound!r}",
+               "dt", "beta_contact", "gamma")
+        _check(self.max_iters >= 1, "max_iters must be at least 1",
+               "max_iters")
+        _check(self.output_stride >= 1, "output_stride must be at least 1",
+               "output_stride")
+        _check(len(self.criteria) > 0,
+               "criteria must list at least one criterion", "criteria")
+        _check(self.samples >= 1, "samples must be at least 1", "samples")
+        _check(self.seed >= 0, "seed must be >= 0", "seed")
+        _check(self.pop_cap >= 2, "pop_cap must be at least 2", "pop_cap")
+        _check(self.level_min < self.level_max,
+               "level_min must be strictly below level_max",
+               "level_max", "level_min")
+        _check(len(self.reference_pop) > 0,
+               "reference_pop must list at least one level", "reference_pop")
+        _check(all(v >= 0.0 for v in self.ladder),
+               "ladder costs must be non-negative", "ladder")
+        _check(bool(self.out_dir), "out_dir must not be empty", "out_dir")
+
     def state0(self) -> EpidemicState:
         rest = max(0.0, (1.0 - self.S0) - self.I0)
         return EpidemicState(S=self.S0, I=self.I0, R=rest)
 
     def level_range(self):
         return (self.level_min, self.level_max)
-
-
-DEFAULT_CRITERIA_SPEC = "CU,TU,CLU:c=1,AU,RDCLU:c=1:rd=0.9"
 
 
 def criterion_from_spec(spec: str) -> WelfareCriterion:
@@ -134,63 +157,115 @@ def criterion_from_spec(spec: str) -> WelfareCriterion:
 def criterion_spec(crit: WelfareCriterion) -> str:
     """Inverse of criterion_from_spec (round-trips exactly)."""
     bits = [crit.kind]
-    if crit.kind in ("CLU", "RDCLU") and crit.c != 0.0:
+    if crit.c != 0.0:
         bits.append(f"c={crit.c!r}")
-    if crit.kind == "RDCLU":
+    if crit.kind == "RDCLU" or crit.rank_discount != 0.0:
         bits.append(f"rd={crit.rank_discount!r}")
     if crit.u.kind == "power":
         bits.append(f"u=pow{crit.u.eta!r}")
-    elif crit.u.kind != "identity":
-        raise ConfigError(
-            f"{crit.u.kind!r} transforms have no config spelling")
     return ":".join(bits)
 
 
-def _parse_float(key, value, line=None):
+def _parse_float(key, value):
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(_at(line, f"{key}: not a number: {value!r}")) \
-            from None
+        raise ConfigError(f"{key}: not a number: {value!r}") from None
     if not math.isfinite(out):
-        raise ConfigError(_at(line, f"{key}: must be finite, got {value!r}"))
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
     return out
 
 
-def _parse_int(key, value, line=None):
+def _parse_int(key, value):
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(_at(line, f"{key}: not an integer: {value!r}")) \
-            from None
+        raise ConfigError(f"{key}: not an integer: {value!r}") from None
 
 
-def _parse_float_list(key, value, line=None):
-    items = [p.strip() for p in value.split(",") if p.strip()]
-    return tuple(_parse_float(key, p, line) for p in items)
+def _listed(parse, fmt):
+    # A comma-separated list of items; blank items are skipped.
+    return (lambda key, value: tuple(parse(key, p.strip())
+                                     for p in value.split(",") if p.strip()),
+            lambda values: ",".join(fmt(v) for v in values))
 
 
-def _at(line, msg):
-    return f"line {line}: {msg}" if line is not None else msg
+# Value kinds, as (parse(key, text) -> value, format(value) -> text).
+_FLOAT = (_parse_float, repr)
+_INT = (_parse_int, repr)
+_FLOATS = _listed(_parse_float, repr)
+_CRITERIA = _listed(lambda key, spec: criterion_from_spec(spec),
+                    criterion_spec)
+_TEXT = (lambda key, value: value, str)
+
+# Every config key in canonical order, as (owner, field, kind). The owner
+# is the RunConfig field holding the dataclass that stores and checks the
+# value, or None for RunConfig itself.
+_SCHEMA = {
+    "beta_contact": ("params", "beta_contact", _FLOAT),
+    "gamma": ("params", "gamma", _FLOAT),
+    "phi0": ("params", "phi0", _FLOAT),
+    "kappa": ("params", "kappa", _FLOAT),
+    "theta": ("params", "theta", _FLOAT),
+    "L_bar": ("params", "L_bar", _FLOAT),
+    "tau": ("params", "tau", _INT),
+    "r": ("params", "r", _FLOAT),
+    "nu": ("params", "nu", _FLOAT),
+    "w": ("params", "w", _FLOAT),
+    "cost_per_death": ("params", "cost_per_death", _FLOAT),
+    "chi": ("params", "chi", _FLOAT),
+    "n_S": ("grid", "n_S", _INT),
+    "n_I": ("grid", "n_I", _INT),
+    "n_L": ("grid", "n_L", _INT),
+    "tol": (None, "tol", _FLOAT),
+    "max_iters": (None, "max_iters", _INT),
+    "S0": (None, "S0", _FLOAT),
+    "I0": (None, "I0", _FLOAT),
+    "horizon": (None, "horizon", _FLOAT),
+    "dt": (None, "dt", _FLOAT),
+    "output_stride": (None, "output_stride", _INT),
+    "criteria": (None, "criteria", _CRITERIA),
+    "samples": (None, "samples", _INT),
+    "seed": (None, "seed", _INT),
+    "pop_cap": (None, "pop_cap", _INT),
+    "level_min": (None, "level_min", _FLOAT),
+    "level_max": (None, "level_max", _FLOAT),
+    "reference_pop": (None, "reference_pop", _FLOATS),
+    "victim_lived": ("victim", "lived", _FLOAT),
+    "victim_remaining": ("victim", "remaining", _FLOAT),
+    "exchange_rate": ("victim", "exchange_rate", _FLOAT),
+    "ladder": (None, "ladder", _FLOATS),
+    "out_dir": (None, "out_dir", _TEXT),
+}
+KEY_ORDER = tuple(_SCHEMA)
+
+# RunConfig last: it is built from the others.
+_OWNERS = {"params": PlannerParams, "grid": GridSpec,
+           "victim": VictimProfile, None: RunConfig}
+_KEY_OF = {(owner, name): key for key, (owner, name, _) in _SCHEMA.items()}
+# "auto" spells a field whose default None asks for a derived value.
+_AUTO = {_KEY_OF[owner, f.name] for owner, cls in _OWNERS.items()
+         for f in fields(cls) if f.default is None}
 
 
-def _guarded(ctor, kwargs, lines, extra_key=None):
-    # Construct a validated object; on failure, point at the config line
-    # that supplied the offending key.
+def _build(owner, kwargs, lines):
+    # Construct a validated owner. A failed check names its keys, or else
+    # its message starts with the field; point at the line of the first
+    # of those keys that the text set.
     try:
-        return ctor(**kwargs)
+        return _OWNERS[owner](**kwargs)
     except ValueError as exc:
-        msg = str(exc)
-        first = msg.split()[0] if msg else ""
-        key = _FIELD_TO_KEY.get(first, first)
-        if extra_key is not None and key not in lines:
-            key = extra_key
-        raise ConfigError(_at(lines.get(key), msg)) from exc
+        keys = (getattr(exc, "keys", ())
+                or (_KEY_OF.get((owner, str(exc).partition(" ")[0])),))
+        line = next((lines[k] for k in keys if k in lines), None)
+        msg = str(exc) if line is None else f"line {line}: {exc}"
+        raise ConfigError(msg) from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate key=value configuration text."""
-    entries = {}
+    lines = {}
+    kwargs = {owner: {} for owner in _OWNERS}
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -201,186 +276,30 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KEY_ORDER:
+        if key not in _SCHEMA:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        if key in entries:
+        if key in lines:
             raise ConfigError(
                 f"line {ln}: duplicate key {key!r} "
-                f"(first set on line {entries[key][1]})")
-        entries[key] = (value, ln)
+                f"(first set on line {lines[key]})")
+        lines[key] = ln
+        owner, name, (parse, _) = _SCHEMA[key]
+        try:
+            kwargs[owner][name] = (None if value == "auto" and key in _AUTO
+                                   else parse(key, value))
+        except ValueError as exc:
+            raise ConfigError(f"line {ln}: {exc}") from exc
 
-    lines = {k: ln for k, (_, ln) in entries.items()}
-
-    def raw(key):
-        return entries[key][0] if key in entries else None
-
-    def fval(key, default):
-        v = raw(key)
-        return default if v is None else _parse_float(key, v, lines[key])
-
-    def ival(key, default):
-        v = raw(key)
-        return default if v is None else _parse_int(key, v, lines[key])
-
-    # planner parameters; phi0/kappa/tol accept "auto" for the derived value
-    pkw = {}
-    for key in _PARAM_KEYS:
-        v = raw(key)
-        if v is None or (key in ("phi0", "kappa") and v == "auto"):
-            continue
-        pkw[key] = _parse_int(key, v, lines[key]) if key == "tau" \
-            else _parse_float(key, v, lines[key])
-    params = _guarded(PlannerParams, pkw, lines)
-
-    gkw = {k: _parse_int(k, raw(k), lines[k])
-           for k in _GRID_KEYS if raw(k) is not None}
-    grid = _guarded(GridSpec, gkw, lines)
-
-    tol_raw = raw("tol")
-    if tol_raw is None or tol_raw == "auto":
-        tol = None
-    else:
-        tol = _parse_float("tol", tol_raw, lines["tol"])
-        if tol <= 0.0:
-            raise ConfigError(_at(lines["tol"], "tol must be positive"))
-
-    S0 = fval("S0", 0.98)
-    I0 = fval("I0", 0.02)
-    for key, v in (("S0", S0), ("I0", I0)):
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(_at(lines.get(key),
-                                  f"{key} must lie in [0, 1], got {v!r}"))
-    if S0 + I0 > 1.0 + 1e-12:
-        where = lines.get("I0", lines.get("S0"))
-        raise ConfigError(_at(where, f"S0 + I0 must not exceed 1, "
-                                     f"got {S0 + I0!r}"))
-
-    horizon = fval("horizon", 20.0)
-    if horizon <= 0.0:
-        raise ConfigError(_at(lines.get("horizon"),
-                              "horizon must be positive"))
-    dt = fval("dt", 1.0 / 365.0)
-    if dt <= 0.0:
-        raise ConfigError(_at(lines.get("dt"), "dt must be positive"))
-    bound = stability_bound(params)
-    if dt > bound * (1.0 + 1e-12):
-        raise ConfigError(_at(lines.get("dt"),
-                              f"dt={dt!r} exceeds the stability bound "
-                              f"0.1/max(beta_contact, gamma) = {bound!r}"))
-
-    max_iters = ival("max_iters", 500)
-    if max_iters < 1:
-        raise ConfigError(_at(lines.get("max_iters"),
-                              "max_iters must be at least 1"))
-    output_stride = ival("output_stride", 1)
-    if output_stride < 1:
-        raise ConfigError(_at(lines.get("output_stride"),
-                              "output_stride must be at least 1"))
-
-    crit_raw = raw("criteria")
-    if crit_raw is None:
-        crit_raw = DEFAULT_CRITERIA_SPEC
-    specs = [s.strip() for s in crit_raw.split(",") if s.strip()]
-    if not specs:
-        raise ConfigError(_at(lines.get("criteria"),
-                              "criteria must list at least one criterion"))
-    criteria = tuple(
-        _guarded(criterion_from_spec, {"spec": s}, lines,
-                 extra_key="criteria")
-        for s in specs)
-
-    samples = ival("samples", 1000)
-    if samples < 1:
-        raise ConfigError(_at(lines.get("samples"),
-                              "samples must be at least 1"))
-    seed = ival("seed", 0)
-    if seed < 0:
-        raise ConfigError(_at(lines.get("seed"), "seed must be >= 0"))
-    pop_cap = ival("pop_cap", 8)
-    if pop_cap < 2:
-        raise ConfigError(_at(lines.get("pop_cap"),
-                              "pop_cap must be at least 2"))
-    level_min = fval("level_min", -10.0)
-    level_max = fval("level_max", 10.0)
-    if not level_min < level_max:
-        where = lines.get("level_max", lines.get("level_min"))
-        raise ConfigError(_at(where,
-                              "level_min must be strictly below level_max"))
-
-    ref_raw = raw("reference_pop")
-    reference_pop = (50.0, 50.0) if ref_raw is None else \
-        _parse_float_list("reference_pop", ref_raw, lines["reference_pop"])
-    if not reference_pop:
-        raise ConfigError(_at(lines.get("reference_pop"),
-                              "reference_pop must list at least one level"))
-
-    victim = _guarded(VictimProfile,
-                      {"lived": fval("victim_lived", 20.0),
-                       "remaining": fval("victim_remaining", 20.0),
-                       "exchange_rate": fval("exchange_rate", 1.0)},
-                      lines)
-
-    lad_raw = raw("ladder")
-    ladder = (0.0, 10.0, 20.0, 40.0) if lad_raw is None else \
-        _parse_float_list("ladder", lad_raw, lines["ladder"])
-    for v in ladder:
-        if v < 0.0:
-            raise ConfigError(_at(lines.get("ladder"),
-                                  "ladder costs must be non-negative"))
-
-    out_dir = raw("out_dir")
-    if out_dir is None:
-        out_dir = "out"
-    if not out_dir:
-        raise ConfigError(_at(lines.get("out_dir"),
-                              "out_dir must not be empty"))
-
-    return RunConfig(params=params, grid=grid, S0=S0, I0=I0, horizon=horizon,
-                     dt=dt, tol=tol, max_iters=max_iters,
-                     output_stride=output_stride, criteria=criteria,
-                     samples=samples, seed=seed, pop_cap=pop_cap,
-                     level_min=level_min, level_max=level_max,
-                     reference_pop=reference_pop, victim=victim,
-                     ladder=ladder, out_dir=out_dir)
+    run = kwargs.pop(None)
+    for owner, values in kwargs.items():
+        run[owner] = _build(owner, values, lines)
+    return _build(None, run, lines)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(cfg)) == cfg."""
-    p, g, v = cfg.params, cfg.grid, cfg.victim
-    values = {
-        "beta_contact": repr(p.beta_contact),
-        "gamma": repr(p.gamma),
-        "phi0": repr(p.phi0),
-        "kappa": repr(p.kappa),
-        "theta": repr(p.theta),
-        "L_bar": repr(p.L_bar),
-        "tau": repr(p.tau),
-        "r": repr(p.r),
-        "nu": repr(p.nu),
-        "w": repr(p.w),
-        "cost_per_death": repr(p.cost_per_death),
-        "chi": repr(p.chi),
-        "n_S": repr(g.n_S),
-        "n_I": repr(g.n_I),
-        "n_L": repr(g.n_L),
-        "tol": "auto" if cfg.tol is None else repr(cfg.tol),
-        "max_iters": repr(cfg.max_iters),
-        "S0": repr(cfg.S0),
-        "I0": repr(cfg.I0),
-        "horizon": repr(cfg.horizon),
-        "dt": repr(cfg.dt),
-        "output_stride": repr(cfg.output_stride),
-        "criteria": ",".join(criterion_spec(c) for c in cfg.criteria),
-        "samples": repr(cfg.samples),
-        "seed": repr(cfg.seed),
-        "pop_cap": repr(cfg.pop_cap),
-        "level_min": repr(cfg.level_min),
-        "level_max": repr(cfg.level_max),
-        "reference_pop": ",".join(repr(x) for x in cfg.reference_pop),
-        "victim_lived": repr(v.lived),
-        "victim_remaining": repr(v.remaining),
-        "exchange_rate": repr(v.exchange_rate),
-        "ladder": ",".join(repr(x) for x in cfg.ladder),
-        "out_dir": cfg.out_dir,
-    }
-    return "\n".join(f"{k}={values[k]}" for k in KEY_ORDER) + "\n"
+    out = []
+    for key, (owner, name, (_, fmt)) in _SCHEMA.items():
+        value = getattr(cfg if owner is None else getattr(cfg, owner), name)
+        out.append(f"{key}={'auto' if value is None else fmt(value)}")
+    return "\n".join(out) + "\n"

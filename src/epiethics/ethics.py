@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -109,62 +109,31 @@ class UtilityTransform:
     """Continuous increasing map applied to levels before aggregation.
 
     kinds: "identity"; "power" with exponent eta in (0, 1), applied as
-    sign(v)*|v|**eta so it stays increasing on negatives; "table", a
-    strictly increasing piecewise-linear interpolant (extrapolated
-    linearly beyond its knots).
+    sign(v)*|v|**eta so it stays increasing on negatives.
     """
 
     kind: str = "identity"
     eta: float = 0.0
-    xs: tuple = ()
-    ys: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "identity":
-            pass
-        elif self.kind == "power":
+        if self.kind == "power":
             if not 0.0 < self.eta < 1.0:
                 raise ValueError("power exponent eta must lie in (0, 1)")
-        elif self.kind == "table":
-            xs = tuple(float(v) for v in self.xs)
-            ys = tuple(float(v) for v in self.ys)
-            if len(xs) != len(ys) or len(xs) < 2:
-                raise ValueError("table transform needs >= 2 knots")
-            if any(b <= a for a, b in zip(xs, xs[1:])) \
-                    or any(b <= a for a, b in zip(ys, ys[1:])):
-                raise ValueError("table knots must be strictly increasing")
-            object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "ys", ys)
-        else:
+        elif self.kind != "identity":
             raise ValueError(f"unknown transform kind {self.kind!r}")
 
     def __call__(self, v):
         arr = np.asarray(v, dtype=float)
         if self.kind == "identity":
             out = arr
-        elif self.kind == "power":
-            out = np.sign(arr) * np.abs(arr) ** self.eta
         else:
-            xs = np.asarray(self.xs)
-            ys = np.asarray(self.ys)
-            out = np.interp(arr, xs, ys)
-            # linear extrapolation keeps the map strictly increasing
-            lo = arr < xs[0]
-            hi = arr > xs[-1]
-            if np.any(lo):
-                slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-                out = np.where(lo, ys[0] + slope * (arr - xs[0]), out)
-            if np.any(hi):
-                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-                out = np.where(hi, ys[-1] + slope * (arr - xs[-1]), out)
+            out = np.sign(arr) * np.abs(arr) ** self.eta
         return float(out) if out.ndim == 0 else out
 
     def spec(self) -> str:
         if self.kind == "identity":
             return "identity"
-        if self.kind == "power":
-            return f"pow{self.eta!r}"
-        return "table"
+        return f"pow{self.eta!r}"
 
 
 IDENTITY = UtilityTransform()
@@ -539,9 +508,11 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
             for _ in range(200):   # bisect the monotone uniform value
                 z_mid = 0.5 * (z_lo + z_hi)
                 if _uniform_value(z_mid, n, crit) < target:
-                    z_lo = z_mid
+                    z_lo, moved = z_mid, z_mid != z_lo
                 else:
-                    z_hi = z_mid
+                    z_hi, moved = z_mid, z_mid != z_hi
+                if not moved:
+                    break    # a fixed point: every later step repeats it
             z = 0.5 * (z_lo + z_hi)
             zn = Allocation.uniform(z, n)
             if (compare(zn, y, crit) is Ordering.StrictlyBetter

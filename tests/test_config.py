@@ -1,8 +1,10 @@
 """Configuration parsing, validation, and round-trip serialization."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiethics.config import (
     ConfigError,
@@ -13,8 +15,10 @@ from epiethics.config import (
     parse_config,
     serialize_config,
 )
-from epiethics.ethics import WelfareCriterion
-from epiethics.epidemic import stability_bound
+from epiethics.ethics import UtilityTransform, WelfareCriterion
+from epiethics.epidemic import PlannerParams, stability_bound
+from epiethics.planner import GridSpec
+from epiethics.sensitivity import VictimProfile
 
 BENCHMARK_CFG = Path(__file__).resolve().parents[1] / "configs/benchmark.cfg"
 
@@ -191,9 +195,181 @@ def test_unknown_criterion_kind_is_a_config_error():
         parse_config("criteria=XU\n")
 
 
-def test_table_transforms_have_no_config_spelling():
-    from epiethics.ethics import UtilityTransform
-    crit = WelfareCriterion(
-        "CU", u=UtilityTransform("table", xs=(0.0, 1.0), ys=(0.0, 2.0)))
-    with pytest.raises(ConfigError, match="spelling"):
-        criterion_spec(crit)
+# ---------------------------------------------------------------------------
+# every rejection message, pinned
+# ---------------------------------------------------------------------------
+
+# Every rejection path with its exact message, line number included. The
+# line is that of the first key the failing check names that the text
+# set: I0 before S0, level_max before level_min, and for the stability
+# bound dt, then beta_contact, then gamma.
+REJECTIONS = [
+    ("theta=0.4\njust words\n",
+     "line 2: expected key=value, got 'just words'"),
+    ("# c\n\nthta=0.4\n", "line 3: unknown key 'thta'"),
+    ("theta=0.4\ntheta=0.5\n",
+     "line 2: duplicate key 'theta' (first set on line 1)"),
+    ("gamma=fast\n", "line 1: gamma: not a number: 'fast'"),
+    ("w=inf\n", "line 1: w: must be finite, got 'inf'"),
+    ("w=nan\n", "line 1: w: must be finite, got 'nan'"),
+    ("n_S=12.5\n", "line 1: n_S: not an integer: '12.5'"),
+    ("tau=1.0\n", "line 1: tau: not an integer: '1.0'"),
+    ("S0=auto\n", "line 1: S0: not a number: 'auto'"),
+    ("tol=abc\n", "line 1: tol: not a number: 'abc'"),
+    ("seed=x\n", "line 1: seed: not an integer: 'x'"),
+    ("reference_pop=1,x\n", "line 1: reference_pop: not a number: 'x'"),
+    ("ladder=0,inf\n", "line 1: ladder: must be finite, got 'inf'"),
+    ("criteria=CLU:c\n", "line 1: criterion option 'c' is not name=value"),
+    ("criteria=CLU:d=3\n", "line 1: unknown criterion option 'd'"),
+    ("criteria=CU:u=log\n", "line 1: criterion transform 'log' not "
+                             "recognised (use identity or pow<eta>)"),
+    ("criteria=CLU:c=abc\n", "line 1: criteria: not a number: 'abc'"),
+    ("criteria=CU:u=powx\n", "line 1: criteria: not a number: 'x'"),
+    ("criteria=XU\n", "line 1: unknown criterion kind 'XU'"),
+    ("criteria=RDCLU:c=1\n", "line 1: RDCLU needs rank_discount in (0, 1)"),
+    ("criteria=TU:c=2\n", "line 1: TU fixes the critical level at 0"),
+    ("criteria=CLU:c=-1\n", "line 1: critical level c must be non-negative"),
+    ("criteria=CU:u=pow1.5\n",
+     "line 1: power exponent eta must lie in (0, 1)"),
+    ("criteria=\n", "line 1: criteria must list at least one criterion"),
+    ("criteria= , \n", "line 1: criteria must list at least one criterion"),
+    ("beta_contact=0\n", "line 1: beta_contact must be strictly positive"),
+    ("gamma=0\n", "line 1: gamma must be strictly positive"),
+    ("r=0\n", "line 1: r must be strictly positive"),
+    ("nu=-1\n", "line 1: nu must be strictly positive"),
+    ("w=0\n", "line 1: w must be strictly positive"),
+    ("phi0=0\n", "line 1: phi0 must lie in (0, gamma]"),
+    ("kappa=-1\n", "line 1: kappa must be non-negative"),
+    ("phi0=10\nkappa=10\n", "line 1: phi0 + kappa must not exceed gamma"),
+    # The first word names a key the text did not set, so no line.
+    ("kappa=18\n", "phi0 + kappa must not exceed gamma"),
+    ("theta=1.5\n", "line 1: theta must lie in (0, 1)"),
+    ("L_bar=0\n", "line 1: L_bar must lie in (0, 1]"),
+    ("tau=2\n", "line 1: tau must be 0 or 1"),
+    ("cost_per_death=-1\n", "line 1: cost_per_death must be non-negative"),
+    ("chi=-1\n", "line 1: chi must be non-negative"),
+    ("n_S=2\n", "line 1: n_S and n_I must be at least 3"),
+    # As for kappa above: the message starts with n_S, which is not set.
+    ("n_I=2\n", "n_S and n_I must be at least 3"),
+    ("n_L=1\n", "line 1: n_L must be at least 2"),
+    ("tol=0\n", "line 1: tol must be positive"),
+    ("S0=1.5\n", "line 1: S0 must lie in [0, 1], got 1.5"),
+    ("I0=-0.1\n", "line 1: I0 must lie in [0, 1], got -0.1"),
+    ("S0=0.9\nI0=0.2\n", "line 2: S0 + I0 must not exceed 1, got 1.1"),
+    ("I0=0.2\nS0=0.9\n", "line 1: S0 + I0 must not exceed 1, got 1.1"),
+    ("S0=0.99\n", "line 1: S0 + I0 must not exceed 1, got 1.01"),
+    ("# header\n\nS0=0.5\nI0=0.7\n",
+     "line 4: S0 + I0 must not exceed 1, got 1.2"),
+    ("horizon=0\n", "line 1: horizon must be positive"),
+    ("dt=0\n", "line 1: dt must be positive"),
+    ("gamma=18\ndt=0.01\n", "line 2: dt=0.01 exceeds the stability bound "
+     "0.1/max(beta_contact, gamma) = 0.002777777777777778"),
+    # dt kept its default; the line is that of the rate that lowered the
+    # bound.
+    ("gamma=100\n", "line 1: dt=0.0027397260273972603 exceeds the "
+     "stability bound 0.1/max(beta_contact, gamma) = 0.001"),
+    ("gamma=100\nbeta_contact=100\n", "line 2: dt=0.0027397260273972603 "
+     "exceeds the stability bound 0.1/max(beta_contact, gamma) = 0.001"),
+    ("max_iters=0\n", "line 1: max_iters must be at least 1"),
+    ("output_stride=0\n", "line 1: output_stride must be at least 1"),
+    ("samples=0\n", "line 1: samples must be at least 1"),
+    ("seed=-1\n", "line 1: seed must be >= 0"),
+    ("pop_cap=1\n", "line 1: pop_cap must be at least 2"),
+    ("level_min=4\nlevel_max=-4\n",
+     "line 2: level_min must be strictly below level_max"),
+    ("level_max=-4\nlevel_min=4\n",
+     "line 1: level_min must be strictly below level_max"),
+    ("level_max=-20\n", "line 1: level_min must be strictly below level_max"),
+    ("level_min=20\n", "line 1: level_min must be strictly below level_max"),
+    ("reference_pop=\n", "line 1: reference_pop must list at least one level"),
+    ("victim_remaining=-2\n", "line 1: remaining must be non-negative"),
+    ("exchange_rate=0\n", "line 1: exchange_rate must be strictly positive"),
+    ("ladder=0,-5\n", "line 1: ladder costs must be non-negative"),
+    ("out_dir=\n", "line 1: out_dir must not be empty"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTIONS)
+def test_rejection_messages_are_pinned(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_replacing_a_field_revalidates_the_config():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(parse_config(""), seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# round trip over drawn valid configs
+# ---------------------------------------------------------------------------
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def criteria(draw):
+    kind = draw(st.sampled_from(("CU", "TU", "CLU", "AU", "RDCLU")))
+    c = 0.0 if kind == "TU" else draw(_floats(0.0, 10.0))
+    rd = draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    if kind != "RDCLU":
+        rd = draw(st.sampled_from((0.0, rd)))
+    u = draw(st.one_of(
+        st.just(UtilityTransform()),
+        _floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+            lambda eta: UtilityTransform("power", eta=eta))))
+    return WelfareCriterion(kind, c=c, rank_discount=rd, u=u)
+
+
+@st.composite
+def run_configs(draw):
+    gamma = draw(_floats(0.5, 50.0))
+    phi0 = draw(st.one_of(st.none(), _floats(0.0, 0.5 * gamma,
+                                             exclude_min=True)))
+    kappa = draw(st.one_of(st.none(), _floats(0.0, 0.5 * gamma)))
+    params = PlannerParams(
+        beta_contact=draw(_floats(0.5, 80.0)), gamma=gamma, phi0=phi0,
+        kappa=kappa, theta=draw(_floats(0.05, 0.95)),
+        L_bar=draw(_floats(0.05, 1.0)), tau=draw(st.sampled_from((0, 1))),
+        r=draw(_floats(0.001, 1.0)), nu=draw(_floats(0.001, 5.0)),
+        w=draw(_floats(0.01, 10.0)), cost_per_death=draw(_floats(0.0, 100.0)),
+        chi=draw(_floats(0.0, 10.0)))
+    S0 = draw(_floats(0.0, 1.0))
+    level_min = draw(_floats(-50.0, 0.0))
+    return RunConfig(
+        params=params,
+        grid=GridSpec(draw(st.integers(3, 500)), draw(st.integers(3, 500)),
+                      draw(st.integers(2, 100))),
+        S0=S0, I0=draw(_floats(0.0, 1.0 - S0)),
+        horizon=draw(_floats(0.1, 50.0)),
+        dt=draw(_floats(0.0, stability_bound(params), exclude_min=True)),
+        tol=draw(st.one_of(st.none(), _floats(1e-12, 1e-3))),
+        max_iters=draw(st.integers(1, 10_000)),
+        output_stride=draw(st.integers(1, 100)),
+        criteria=tuple(draw(st.lists(criteria(), min_size=1, max_size=6))),
+        samples=draw(st.integers(1, 10_000)), seed=draw(st.integers(0, 2**32)),
+        pop_cap=draw(st.integers(2, 16)), level_min=level_min,
+        level_max=draw(_floats(level_min + 0.5, 50.0)),
+        reference_pop=tuple(draw(st.lists(_floats(-50.0, 50.0), min_size=1,
+                                          max_size=8))),
+        victim=VictimProfile(draw(_floats(-50.0, 50.0)),
+                             draw(_floats(0.0, 50.0)),
+                             draw(_floats(0.01, 10.0))),
+        ladder=tuple(draw(st.lists(_floats(0.0, 100.0), max_size=6))),
+        out_dir=draw(st.text("abc_-./019", min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=run_configs())
+def test_serialize_then_parse_is_identity(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(crit=criteria())
+def test_criterion_spec_inverts_criterion_from_spec(crit):
+    assert criterion_from_spec(criterion_spec(crit)) == crit

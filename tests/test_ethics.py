@@ -95,13 +95,8 @@ def test_utility_transforms():
     power = UtilityTransform("power", eta=0.5)
     assert power(4.0) == 2.0
     assert power(-4.0) == -2.0          # odd extension keeps it increasing
-    table = UtilityTransform("table", xs=(0.0, 1.0, 2.0), ys=(0.0, 2.0, 3.0))
-    assert table(0.5) == 1.0
-    assert table(3.0) == 4.0            # linear extrapolation beyond the grid
     with pytest.raises(ValueError):
         UtilityTransform("power", eta=1.5)
-    with pytest.raises(ValueError):
-        UtilityTransform("table", xs=(0.0, 1.0), ys=(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
