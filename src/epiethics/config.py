@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .epidemic import EpidemicState, PlannerParams, stability_bound
+from .epidemic import (EpidemicState, ParameterError, PlannerParams,
+                       stability_bound)
 from .ethics import UtilityTransform, WelfareCriterion, default_criteria
 from .planner import GridSpec
 from .sensitivity import VictimProfile
@@ -34,16 +35,12 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(ParameterError):
     """Invalid run configuration.
 
     keys names the config keys the failed check read, preferred first;
     parse_config reports the line of the first of them the text set.
     """
-
-    def __init__(self, msg: str, keys: tuple = ()):
-        super().__init__(msg)
-        self.keys = keys
 
 
 def _check(ok: bool, msg: str, *keys: str):
@@ -159,7 +156,7 @@ def criterion_spec(crit: WelfareCriterion) -> str:
     bits = [crit.kind]
     if crit.c != 0.0:
         bits.append(f"c={crit.c!r}")
-    if crit.kind == "RDCLU" or crit.rank_discount != 0.0:
+    if crit.kind == "RDCLU":
         bits.append(f"rd={crit.rank_discount!r}")
     if crit.u.kind == "power":
         bits.append(f"u=pow{crit.u.eta!r}")
@@ -249,9 +246,10 @@ _AUTO = {_KEY_OF[owner, f.name] for owner, cls in _OWNERS.items()
 
 
 def _build(owner, kwargs, lines):
-    # Construct a validated owner. A failed check names its keys, or else
-    # its message starts with the field; point at the line of the first
-    # of those keys that the text set.
+    # Construct a validated owner. A failed check names its keys (the
+    # fields of PlannerParams and GridSpec are named as their keys), or
+    # else its message starts with the field; point at the line of the
+    # first of those keys that the text set.
     try:
         return _OWNERS[owner](**kwargs)
     except ValueError as exc:

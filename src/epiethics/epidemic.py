@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "EpidemicState",
     "IntegrationError",
+    "ParameterError",
     "PlannerParams",
     "Trajectory",
     "basic_reproduction_number",
@@ -31,6 +32,23 @@ __all__ = [
 _STATE_ATOL = 1e-12
 # The four compartments must sum to 1 within this budget at every sample.
 _SUM_ATOL = 1e-9
+
+
+class ParameterError(ValueError):
+    """A rejected field value.
+
+    keys names the fields the failed check read, preferred first, so a
+    caller can point at whichever of them its input set.
+    """
+
+    def __init__(self, msg: str, keys: tuple = ()):
+        super().__init__(msg)
+        self.keys = keys
+
+
+def _require(ok: bool, msg: str, *keys: str):
+    if not ok:
+        raise ParameterError(msg, keys)
 
 
 class IntegrationError(RuntimeError):
@@ -67,24 +85,20 @@ class PlannerParams:
         if self.kappa is None:
             object.__setattr__(self, "kappa", 0.05 * self.gamma)
         for name in ("beta_contact", "gamma", "r", "nu", "w"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not 0.0 < self.phi0 <= self.gamma:
-            raise ValueError("phi0 must lie in (0, gamma]")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be non-negative")
-        if self.phi0 + self.kappa > self.gamma:
-            raise ValueError("phi0 + kappa must not exceed gamma")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if not 0.0 < self.L_bar <= 1.0:
-            raise ValueError("L_bar must lie in (0, 1]")
-        if self.tau not in (0, 1):
-            raise ValueError("tau must be 0 or 1")
-        if self.cost_per_death < 0.0:
-            raise ValueError("cost_per_death must be non-negative")
-        if self.chi < 0.0:
-            raise ValueError("chi must be non-negative")
+            _require(getattr(self, name) > 0.0,
+                     f"{name} must be strictly positive", name)
+        _require(0.0 < self.phi0 <= self.gamma,
+                 "phi0 must lie in (0, gamma]", "phi0", "gamma")
+        _require(self.kappa >= 0.0, "kappa must be non-negative", "kappa")
+        _require(self.phi0 + self.kappa <= self.gamma,
+                 "phi0 + kappa must not exceed gamma",
+                 "phi0", "kappa", "gamma")
+        _require(0.0 < self.theta < 1.0, "theta must lie in (0, 1)", "theta")
+        _require(0.0 < self.L_bar <= 1.0, "L_bar must lie in (0, 1]", "L_bar")
+        _require(self.tau in (0, 1), "tau must be 0 or 1", "tau")
+        _require(self.cost_per_death >= 0.0,
+                 "cost_per_death must be non-negative", "cost_per_death")
+        _require(self.chi >= 0.0, "chi must be non-negative", "chi")
 
 
 @dataclass(frozen=True)

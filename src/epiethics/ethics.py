@@ -146,8 +146,8 @@ class WelfareCriterion:
     """One of the five supported social welfare orders."""
 
     kind: str
-    c: float = 0.0                  # critical level (CLU / RDCLU)
-    rank_discount: float = 0.0      # per-rank discount (RDCLU), in (0, 1)
+    c: float = 0.0                  # critical level (CLU / RDCLU only)
+    rank_discount: float = 0.0      # per-rank discount (RDCLU only), in (0, 1)
     u: UtilityTransform = IDENTITY
 
     def __post_init__(self):
@@ -158,8 +158,12 @@ class WelfareCriterion:
         if self.kind == "RDCLU":
             if not 0.0 < self.rank_discount < 1.0:
                 raise ValueError("RDCLU needs rank_discount in (0, 1)")
-        if self.kind == "TU" and self.c != 0.0:
-            raise ValueError("TU fixes the critical level at 0")
+        elif self.rank_discount != 0.0:
+            raise ValueError(f"{self.kind} takes no rank discount")
+        # A field the criterion ignores is rejected rather than carried
+        # into its spec, where it would change the config's hash.
+        if self.kind not in ("CLU", "RDCLU") and self.c != 0.0:
+            raise ValueError(f"{self.kind} fixes the critical level at 0")
 
     @property
     def label(self) -> str:

@@ -26,6 +26,15 @@ same discrete fixed point as global pseudo-time value iteration (which
 the tests use as an oracle on small grids) at a small fraction of the
 iteration count, which is what makes the default 300x300 grid cheap.
 
+Problems that differ only in the price of a death (a sensitivity sweep)
+march through the rows together: the row functions take a leading
+scenario axis, and each policy-iteration step solves the rows of all
+unconverged scenarios as one block-diagonal tridiagonal system whose
+couplings across blocks are exact zeros. A scenario stops iterating at
+the step where its own row converges, so it runs exactly the operations
+of its own solve and its results are bit for bit the same;
+solve_value_function is the one-scenario case of solve_stacked.
+
 Grid nodes with S + I > 1 are retained. They are unreachable from the
 physical simplex, but keeping them gives every node near the diagonal a
 complete upwind stencil; since S only shrinks, values in that corner
@@ -38,14 +47,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .epidemic import EpidemicState, PlannerParams, Trajectory, \
-    basic_reproduction_number, _check_lockdown, _integrate
+    basic_reproduction_number, _check_lockdown, _integrate, _require
 
 __all__ = [
     "GridSpec",
@@ -59,6 +67,7 @@ __all__ = [
     "evaluate_policy",
     "flow_cost",
     "simulate_optimal",
+    "solve_stacked",
     "solve_value_function",
 ]
 
@@ -101,10 +110,9 @@ class GridSpec:
     n_L: int = 51
 
     def __post_init__(self):
-        if self.n_S < 3 or self.n_I < 3:
-            raise ValueError("n_S and n_I must be at least 3")
-        if self.n_L < 2:
-            raise ValueError("n_L must be at least 2")
+        _require(self.n_S >= 3 and self.n_I >= 3,
+                 "n_S and n_I must be at least 3", "n_S", "n_I")
+        _require(self.n_L >= 2, "n_L must be at least 2", "n_L")
 
     def s_nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_S)
@@ -212,12 +220,15 @@ def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
     return float(gdp + deaths)
 
 
-def _flow_cost_terms(S, I, L, params: PlannerParams):
+def _flow_cost_terms(S, I, L, params: PlannerParams, price=None):
     # The two terms of the flow cost, lockdown output loss and death
-    # cost, for floats or broadcastable arrays.
+    # cost, for floats or broadcastable arrays. price, the value of one
+    # death, defaults to cost_per_death + chi; the stacked solve passes
+    # one per scenario, shaped to broadcast over its leading axis.
+    if price is None:
+        price = params.cost_per_death + params.chi
     gdp = params.w * L * (params.tau * (S + I) + (1 - params.tau))
-    deaths = (params.phi0 + params.kappa * I) * I \
-        * (params.cost_per_death + params.chi)
+    deaths = (params.phi0 + params.kappa * I) * I * price
     return gdp, deaths
 
 
@@ -237,7 +248,7 @@ def boundary_value_s_zero(I, params: PlannerParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _row_quantities(S, I, L, params: PlannerParams):
+def _row_quantities(S, I, L, params: PlannerParams, price=None):
     # Drift and cost pieces at nodes I (any shape) under lockdown L
     # (broadcastable against I). The flow is epidemic._rhs's -dS, written
     # out: taking it from _rhs would negate it twice and compute dR and
@@ -245,7 +256,7 @@ def _row_quantities(S, I, L, params: PlannerParams):
     lock = (1.0 - params.theta * L) ** 2
     flow = params.beta_contact * S * I * lock
     f_I = flow - params.gamma * I
-    gdp, deaths = _flow_cost_terms(S, I, L, params)
+    gdp, deaths = _flow_cost_terms(S, I, L, params, price)
     return flow, f_I, gdp + deaths
 
 
@@ -256,70 +267,91 @@ def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
 
 def _row_candidates(S, I, DS, DIp, DIm, params: PlannerParams):
     # The five candidate controls of the module docstring at every node
-    # of one S-row, clipped to [0, L_bar] and sorted, so that an argmin
-    # over them breaks ties toward the smaller L.
+    # of one S-row (any leading scenario axes), clipped to [0, L_bar] and
+    # sorted, so that an argmin over them breaks ties toward the smaller L.
     theta = params.theta
     L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
     a = params.w * (params.tau * (S + I) + (1 - params.tau))
     scale = 2.0 * params.beta_contact * S * I * theta
-    cand = np.empty((I.size, 5))
-    cand[:, 0] = 0.0
-    cand[:, 1] = params.L_bar
-    cand[:, 2] = L_c
+    cand = np.empty(DS.shape + (5,))
+    cand[..., 0] = 0.0
+    cand[..., 1] = params.L_bar
+    cand[..., 2] = L_c
     for col, DI in ((3, DIp), (4, DIm)):
         # The branch is a*L + curv*(1 - theta*L)^2/(2*theta) plus terms
         # free of L; its vertex lies above 0 only where curv > a (> 0).
         curv = scale * (DI - DS)
         above = curv > a
-        cand[:, col] = np.where(
+        cand[..., col] = np.where(
             above, (1.0 - a / np.where(above, curv, 1.0)) / theta, 0.0)
     np.clip(cand, 0.0, params.L_bar, out=cand)
-    cand.sort(axis=1)
+    cand.sort(axis=-1)
     return cand
 
 
-def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None):
+def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
+                  price=None):
     """Minimize the upwind Hamiltonian at every active node of one S-row.
 
     v_row is the full current row (index 0 pinned); v_prev is the full
-    row below. With controls=None the minimum over [0, L_bar] is exact
-    (see _row_candidates); otherwise it is taken over the sorted finite
-    set controls. Ties go to the smaller L. Returns the minimized
-    Hamiltonian and the minimizing L with its drift/cost pieces.
+    row below. Both may carry leading scenario axes, with price (the
+    value of one death per scenario, shaped to broadcast over the node
+    and control axes) set accordingly. With controls=None the minimum
+    over [0, L_bar] is exact (see _row_candidates); otherwise it is taken
+    over the sorted finite set controls. Ties go to the smaller L.
+    Returns the minimized Hamiltonian and the minimizing L with its
+    drift/cost pieces, each shaped like v_row[..., 1:].
     """
-    vj = v_row[1:]
-    DS = (vj - v_prev[1:]) / hS
+    vj = v_row[..., 1:]
+    DS = (vj - v_prev[..., 1:]) / hS
     DIp = np.empty_like(vj)
-    DIp[:-1] = (v_row[2:] - v_row[1:-1]) / hI
-    DIp[-1] = 0.0   # no upwind neighbour above the top edge
-    DIm = (v_row[1:] - v_row[:-1]) / hI
+    DIp[..., :-1] = (v_row[..., 2:] - v_row[..., 1:-1]) / hI
+    DIp[..., -1] = 0.0   # no upwind neighbour above the top edge
+    DIm = (v_row[..., 1:] - v_row[..., :-1]) / hI
 
     if controls is None:
         Ls = _row_candidates(S, I, DS, DIp, DIm, params)
     else:
-        Ls = np.broadcast_to(controls, (I.size, controls.size))
-    flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params)
-    H = _hamiltonian(flow, f_I, cost, DS[:, None], DIp[:, None], DIm[:, None])
-    k = np.argmin(H, axis=1)          # first minimum = smallest L
-    rows = np.arange(I.size)
-    return (H[rows, k], Ls[rows, k], flow[rows, k], f_I[rows, k],
-            cost[rows, k])
+        Ls = np.broadcast_to(controls, DS.shape + controls.shape)
+    flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params, price)
+    H = _hamiltonian(flow, f_I, cost, DS[..., None], DIp[..., None],
+                     DIm[..., None])
+    k = H.argmin(axis=-1)             # first minimum = smallest L
+    # Flat indices of the minimizers: cheaper than fancy indexing on
+    # every axis.
+    k += np.arange(0, H.size, H.shape[-1]).reshape(k.shape)
+    return (H.ravel()[k], Ls.ravel()[k], flow.ravel()[k], f_I.ravel()[k],
+            cost.ravel()[k])
+
+
+@cache
+def _solve_banded():
+    # scipy.linalg takes about 0.1 s to import, so it is imported on the
+    # first row solve, not by commands that never solve.
+    from scipy.linalg import solve_banded
+    return solve_banded
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
-    """Solve the row's tridiagonal system for the fixed per-node policy."""
+    """Solve the row's tridiagonal system for the fixed per-node policy.
+
+    With leading scenario axes, the rows form one block-diagonal system
+    whose couplings across block edges are exact zeros, solved in one
+    call. A finite block then equals the block solved alone; a block
+    that overflows spreads NaN (0 * inf) into its neighbours.
+    """
     a = flow_k / hS
     bp = np.where(fI_k > 0.0, fI_k, 0.0) / hI
-    bp[-1] = 0.0                      # dropped term at the top edge
+    bp[..., -1] = 0.0                 # dropped term at the top edge
     bm = np.where(fI_k < 0.0, -fI_k, 0.0) / hI
     diag = rho + a + bp + bm
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -bp[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = -bm[1:]
-    rhs = cost_k + a * v_prev[1:]     # the I = 0 neighbour is pinned at 0
-    return solve_banded((1, 1), ab, rhs)
+    ab = np.zeros((3,) + diag.shape)
+    ab[0, ..., 1:] = -bp[..., :-1]
+    ab[1] = diag
+    ab[2, ..., :-1] = -bm[..., 1:]
+    rhs = cost_k + a * v_prev[..., 1:]  # the I = 0 neighbour is pinned at 0
+    x = _solve_banded()((1, 1), ab.reshape(3, -1), rhs.reshape(-1))
+    return x.reshape(diag.shape)
 
 
 def _control_set(controls, params: PlannerParams):
@@ -345,7 +377,30 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
     [0, L_bar], or over the finite set controls when one is given. The
     returned policy is the minimizer of the row's last step, which is
     taken at the converged values, with ties broken toward smaller L;
-    it is 0 on both pinned edges.
+    it is 0 on both pinned edges. This is solve_stacked for one cost.
+    """
+    (outcome,) = solve_stacked(params, grid, (params.cost_per_death,),
+                               tol, max_iters, controls)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
+                  tol: float | None = None, max_iters: int = 500,
+                  controls=None) -> list:
+    """Solve the planner problem for several death costs in one row march.
+
+    Returns a list aligned with costs. Each entry is what
+    solve_value_function returns for params with that cost_per_death, bit
+    for bit, or the SolverConvergenceError or SolverNumericalError it
+    raises, as the exception object: one cost's failure leaves the others
+    untouched. Every policy-iteration step advances all the costs whose
+    current row is still unconverged with one minimization and one
+    block-diagonal tridiagonal solve. A cost is frozen at the step where
+    its row residual drops below tol, so it runs exactly the steps of its
+    own solve. A ValueError (an invalid cost, tol, max_iters or control
+    set) is raised for the whole call.
     """
     if tol is None:
         tol = 1e-8 * params.w
@@ -354,6 +409,7 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     Ls = _control_set(controls, params)
+    priced = [replace(params, cost_per_death=c) for c in costs]
 
     logger.info("solving %dx%d grid, %s, R0=%.3f", grid.n_S, grid.n_I,
                 "exact control" if Ls is None else f"{Ls.size} controls",
@@ -365,41 +421,108 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
     hI = iN[1] - iN[0]
     rho = params.r + params.nu
     I_act = iN[1:]
+    # The value of one death per cost, broadcast over nodes and controls.
+    price = np.array([p.cost_per_death + p.chi
+                      for p in priced])[:, None, None]
 
-    V = np.zeros((grid.n_S, grid.n_I))
-    V[0, :] = boundary_value_s_zero(iN, params)
-    L_field = np.zeros((grid.n_S, grid.n_I))
+    # One value and one policy array per cost, written row by row; a
+    # failed cost's arrays are dropped.
+    Vs = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
+    L_fields = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
+    for V, p in zip(Vs, priced):
+        V[0, :] = boundary_value_s_zero(iN, p)
+    failures = [None] * len(priced)
+    live = np.arange(len(priced))     # the costs that have not failed
+    v_prev = np.stack([V[0] for V in Vs])
 
     for i in range(1, grid.n_S):
         S = sN[i]
-        v_prev = V[i - 1]
         v = v_prev.copy()             # warm start from the row below
-        v[0] = 0.0
-        residual = math.inf
-        for it in range(max_iters):
+        v[:, 0] = 0.0
+        L_row = np.zeros((live.size, grid.n_I - 1))
+        todo = np.arange(live.size)   # rows of v not yet converged
+        for _ in range(max_iters):
+            # Basic slices while every live cost is still iterating.
+            every = todo.size == live.size
+            v_t = v if every else v[todo]
+            prev_t = v_prev if every else v_prev[todo]
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                S, I_act, v, v_prev, hS, hI, params, Ls)
-            residual = float(np.max(np.abs(rho * v[1:] - Hk)))
-            if residual < tol:
-                break
-            v_new = _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev,
+                S, I_act, v_t, prev_t, hS, hI, params, Ls,
+                price if every else price[todo])
+            residual = np.abs(rho * v_t[:, 1:] - Hk).max(axis=-1)
+            if any(r < tol for r in residual.tolist()):
+                done = residual < tol
+                L_row[todo[done]] = Lk[done]
+                busy = ~done
+                todo = todo[busy]
+                if not todo.size:
+                    break
+                flow_k, fI_k, cost_k, prev_t, residual = (
+                    flow_k[busy], fI_k[busy], cost_k[busy], prev_t[busy],
+                    residual[busy])
+            v_new = _row_policy_eval(rho, flow_k, fI_k, cost_k, prev_t,
                                      hS, hI)
-            if not np.all(np.isfinite(v_new)):
-                j_bad = int(np.argmin(np.isfinite(v_new)))
-                raise SolverNumericalError(
-                    f"non-finite value at node ({i}, {j_bad + 1})",
-                    node=(i, j_bad + 1))
-            v[1:] = v_new
+            if not np.isfinite(v_new).all():
+                ok = _isolate(v_new, failures, i, live[todo], rho, flow_k,
+                              fI_k, cost_k, prev_t, hS, hI)
+                todo, v_new, residual = todo[ok], v_new[ok], residual[ok]
+                if not todo.size:
+                    break
+            if todo.size == live.size:
+                v[:, 1:] = v_new
+            else:
+                v[todo, 1:] = v_new
         else:
-            raise SolverConvergenceError(
-                f"row {i} did not converge in {max_iters} iterations "
-                f"(last residual {residual:.3e})",
-                residual=residual, row=i)
-        V[i] = v
-        L_field[i, 1:] = Lk
+            for k, res in zip(live[todo].tolist(), residual.tolist()):
+                failures[k] = SolverConvergenceError(
+                    f"row {i} did not converge in {max_iters} iterations "
+                    f"(last residual {res:.3e})", residual=res, row=i)
+        alive = [failures[k] is None for k in live.tolist()]
+        for row, k in enumerate(live.tolist()):
+            if alive[row]:
+                Vs[k][i] = v[row]
+                L_fields[k][i, 1:] = L_row[row]
+            else:
+                Vs[k] = L_fields[k] = None
+        if not all(alive):
+            live, v, price = live[alive], v[alive], price[alive]
+            if not live.size:
+                break
+        v_prev = v
 
-    logger.info("solve finished, V(1,1)=%.6f", V[-1, -1])
-    return ValueField(grid, V), PolicyField(grid, L_field)
+    out = []
+    for k in range(len(priced)):
+        if failures[k] is not None:
+            out.append(failures[k])
+            continue
+        logger.info("solve finished, V(1,1)=%.6f", Vs[k][-1, -1])
+        # ValueField keeps a copy; drop the raw array at once.
+        out.append((ValueField(grid, Vs[k]), PolicyField(grid, L_fields[k])))
+        Vs[k] = None
+    return out
+
+
+def _isolate(v_new, failures, i, costs, rho, flow_k, fI_k, cost_k, v_prev,
+             hS, hI):
+    # A non-finite block may be the victim of a neighbour's overflow
+    # (0 * inf across the zero coupling), so each is solved again on its
+    # own: a finite result replaces it, a non-finite one fails its cost
+    # at the first bad node, as the cost's own solve would. Returns the
+    # mask of blocks that are still iterating.
+    ok = np.ones(len(costs), dtype=bool)
+    for b in np.flatnonzero(~np.isfinite(v_new).all(axis=1)).tolist():
+        one = slice(b, b + 1)
+        alone = _row_policy_eval(rho, flow_k[one], fI_k[one], cost_k[one],
+                                 v_prev[one], hS, hI)[0]
+        if np.all(np.isfinite(alone)):
+            v_new[b] = alone
+            continue
+        j_bad = int(np.argmin(np.isfinite(alone)))
+        failures[costs[b]] = SolverNumericalError(
+            f"non-finite value at node ({i}, {j_bad + 1})",
+            node=(i, j_bad + 1))
+        ok[b] = False
+    return ok
 
 
 def bellman_residual(value_field: ValueField, params: PlannerParams,

@@ -5,8 +5,8 @@ Here that number is *derived* from a population-ethics criterion: the
 cost of one death is the welfare difference between the deceased living
 out their remaining years and dying today, converted to output units at
 a fixed exchange rate. Each criterion therefore induces its own planner
-problem; run_sensitivity solves them all and tabulates how the optimal
-lockdown responds.
+problem; run_sensitivity solves them all in one stacked row march and
+tabulates how the optimal lockdown responds.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams
 from .ethics import Allocation, WelfareCriterion, criterion_value
-from .planner import (GridSpec, PolicyField, SolverConvergenceError,
-                      SolverNumericalError, simulate_optimal,
-                      solve_value_function)
+# solve_value_function is not called here: perfbench/spans.py swaps this
+# module's binding of it for a traced wrapper, so the name stays bound.
+from .planner import (GridSpec, PolicyField, simulate_optimal,  # noqa: F401
+                      solve_stacked, solve_value_function)
 
 logger = logging.getLogger(__name__)
 
@@ -113,19 +114,15 @@ class SensitivityReport:
         return (self.baseline,) + self.rows + self.ladder
 
 
-def _scenario(label: str, params: PlannerParams, grid: GridSpec,
-              state0: EpidemicState, horizon: float, dt: float,
-              tol, max_iters: int):
-    _, policy = solve_value_function(params, grid, tol=tol,
-                                     max_iters=max_iters)
+def _scenario(label: str, params: PlannerParams, policy: PolicyField,
+              state0: EpidemicState, horizon: float, dt: float):
     _, summary = simulate_optimal(policy, params, state0, horizon, dt)
-    row = SensitivityRow(label=label, cost_per_death=params.cost_per_death,
-                         peak_L=summary.peak_L,
-                         lockdown_years=summary.lockdown_years,
-                         deaths=summary.total_deaths,
-                         gdp_loss=summary.gdp_loss,
-                         value=summary.value)
-    return row, policy
+    return SensitivityRow(label=label, cost_per_death=params.cost_per_death,
+                          peak_L=summary.peak_L,
+                          lockdown_years=summary.lockdown_years,
+                          deaths=summary.total_deaths,
+                          gdp_loss=summary.gdp_loss,
+                          value=summary.value)
 
 
 def _failed(label: str, cost: float, exc: Exception):
@@ -134,26 +131,12 @@ def _failed(label: str, cost: float, exc: Exception):
                           error=str(exc)), None
 
 
-def _priced_scenario(label: str, cost: float, params: PlannerParams,
-                     solved: dict, *args):
-    # A cost the params reject or a failed solve becomes an error row;
-    # any other error is a fault and propagates. `solved` maps each cost
-    # already tried to its (row, policy) or its solver failure, so rows
-    # of equal cost share one solve and keep their own labels.
+def _priced(params: PlannerParams, cost: float):
+    # params at this death cost, or the ValueError rejecting the cost.
     try:
-        priced = replace(params, cost_per_death=cost)
+        return replace(params, cost_per_death=cost)
     except ValueError as exc:
-        return _failed(label, cost, exc)
-    if cost not in solved:
-        try:
-            solved[cost] = _scenario(label, priced, *args)
-        except (SolverConvergenceError, SolverNumericalError) as exc:
-            solved[cost] = exc
-    outcome = solved[cost]
-    if isinstance(outcome, Exception):
-        return _failed(label, cost, outcome)
-    row, policy = outcome
-    return replace(row, label=label), policy
+        return exc
 
 
 def run_sensitivity(params: PlannerParams, criteria,
@@ -166,36 +149,64 @@ def run_sensitivity(params: PlannerParams, criteria,
                     max_iters: int = 500) -> SensitivityReport:
     """Solve the planner problem once per distinct death cost.
 
-    The baseline row uses params.cost_per_death as given, and its
-    failures propagate. Criterion and ladder rows whose cost equals an
-    earlier row's reuse that row's solve, or its solver failure, under
-    their own labels. A criterion or ladder scenario whose cost cannot
-    be derived or is rejected (ValueError), or whose solve fails
-    (SolverConvergenceError, SolverNumericalError), is recorded with its
-    error message and the sweep continues; any other error propagates.
-    The report also carries the pairwise sup-norm distance between the
-    criterion policies.
+    Every cost is derived first; the distinct valid ones, the baseline's
+    params.cost_per_death first, are then solved together by one
+    solve_stacked call, and the rows are walked in order. The baseline's
+    solver failure propagates. Criterion and ladder rows of equal cost
+    share one solve and simulation under their own labels. A criterion
+    or ladder scenario whose cost cannot be derived or is rejected
+    (ValueError), or whose solve fails (SolverConvergenceError,
+    SolverNumericalError), is recorded with its error message, and its
+    warning logged, when the walk reaches it; any other error
+    propagates. The report also carries the pairwise sup-norm distance
+    between the criterion policies.
     """
     if state0 is None:
         state0 = EpidemicState(S=0.98, I=0.02)
 
-    args = (grid, state0, horizon, dt, tol, max_iters)
-    baseline, policy = _scenario("benchmark", params, *args)
-    solved = {params.cost_per_death: (baseline, policy)}
-
-    rows = []
-    policies = []
+    # (label, cost, params at that cost or the ValueError ruling it out)
+    scenarios = []
     for crit in criteria:
-        label = crit.label
         try:
             cost = death_cost_from_criterion(crit, reference_pop, victim)
         except ValueError as exc:
-            row, policy = _failed(label, math.nan, exc)
+            scenarios.append((crit.label, math.nan, exc))
         else:
-            row, policy = _priced_scenario(label, cost, params, solved,
-                                           *args)
-        rows.append(row)
-        policies.append((label, policy))
+            scenarios.append((crit.label, cost, _priced(params, cost)))
+    n_criteria = len(scenarios)
+    for cost in ladder:
+        cost = float(cost)
+        scenarios.append((f"fixed:{cost:g}", cost, _priced(params, cost)))
+
+    costs = list(dict.fromkeys(
+        [params.cost_per_death]
+        + [cost for _, cost, p in scenarios
+           if isinstance(p, PlannerParams)]))
+    # Each cost's policy or solver failure; the value fields are dropped.
+    solved = {cost: out if isinstance(out, Exception) else out[1]
+              for cost, out in zip(costs, solve_stacked(
+                  params, grid, costs, tol=tol, max_iters=max_iters))}
+    outcomes = {}    # cost -> (row, policy), simulated once per cost
+
+    def outcome(label, cost, priced):
+        if isinstance(priced, Exception):
+            return _failed(label, cost, priced)
+        policy = solved[cost]
+        if isinstance(policy, Exception):
+            return _failed(label, cost, policy)
+        if cost not in outcomes:
+            outcomes[cost] = (_scenario(label, priced, policy, state0,
+                                        horizon, dt), policy)
+        row, policy = outcomes[cost]
+        return replace(row, label=label), policy
+
+    if isinstance(solved[params.cost_per_death], Exception):
+        raise solved[params.cost_per_death]
+    baseline, _ = outcome("benchmark", params.cost_per_death, params)
+
+    walked = [outcome(*scenario) for scenario in scenarios]
+    rows = [row for row, _ in walked[:n_criteria]]
+    policies = [(row.label, policy) for row, policy in walked[:n_criteria]]
 
     diffs = []
     for a in range(len(policies)):
@@ -208,13 +219,8 @@ def run_sensitivity(params: PlannerParams, criteria,
                 diffs.append((la, lb, float(np.max(np.abs(
                     pa.lockdown - pb.lockdown)))))
 
-    ladder_rows = []
-    for cost in ladder:
-        cost = float(cost)
-        row, _ = _priced_scenario(f"fixed:{cost:g}", cost, params, solved,
-                                  *args)
-        ladder_rows.append(row)
-
     return SensitivityReport(baseline=baseline, rows=tuple(rows),
-                             ladder=tuple(ladder_rows),
+                             ladder=tuple(row for row, _ in
+                                          walked[n_criteria:]),
                              policy_diffs=tuple(diffs))
+

@@ -202,15 +202,15 @@ def test_sensitivity_warns_once_per_failed_row(tmp_path, monkeypatch,
                                                caplog):
     from epiethics import sensitivity as mod
 
-    real = mod.solve_value_function
+    real = mod.solve_stacked
 
-    def flaky(params, grid, tol=None, max_iters=500, **kw):
-        if params.cost_per_death == 0.0:
-            raise SolverConvergenceError("induced failure", residual=1.0,
-                                         row=1)
-        return real(params, grid, tol=tol, max_iters=max_iters, **kw)
+    def flaky(params, grid, costs, **kw):
+        # The cost 0 fails to converge.
+        return [SolverConvergenceError("induced failure", residual=1.0, row=1)
+                if cost == 0.0 else out
+                for cost, out in zip(costs, real(params, grid, costs, **kw))]
 
-    monkeypatch.setattr(mod, "solve_value_function", flaky)
+    monkeypatch.setattr(mod, "solve_stacked", flaky)
     cfg = write_cfg(tmp_path, "criteria=CU\nladder=0,20,0\nhorizon=2\n")
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING):
@@ -277,3 +277,13 @@ def test_installed_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectory.csv").exists()
     assert (out / "run_manifest").exists()
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # Importing scipy.linalg takes about 0.1 s; only a solve needs it, so
+    # ethics and simulate --no-control must not pay for it.
+    code = "import sys, epiethics.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

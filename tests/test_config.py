@@ -228,6 +228,10 @@ REJECTIONS = [
     ("criteria=XU\n", "line 1: unknown criterion kind 'XU'"),
     ("criteria=RDCLU:c=1\n", "line 1: RDCLU needs rank_discount in (0, 1)"),
     ("criteria=TU:c=2\n", "line 1: TU fixes the critical level at 0"),
+    ("criteria=CU:c=5\n", "line 1: CU fixes the critical level at 0"),
+    ("criteria=AU:c=1\n", "line 1: AU fixes the critical level at 0"),
+    ("criteria=TU:rd=0.5\n", "line 1: TU takes no rank discount"),
+    ("criteria=CLU:c=1:rd=0.5\n", "line 1: CLU takes no rank discount"),
     ("criteria=CLU:c=-1\n", "line 1: critical level c must be non-negative"),
     ("criteria=CU:u=pow1.5\n",
      "line 1: power exponent eta must lie in (0, 1)"),
@@ -241,16 +245,14 @@ REJECTIONS = [
     ("phi0=0\n", "line 1: phi0 must lie in (0, gamma]"),
     ("kappa=-1\n", "line 1: kappa must be non-negative"),
     ("phi0=10\nkappa=10\n", "line 1: phi0 + kappa must not exceed gamma"),
-    # The first word names a key the text did not set, so no line.
-    ("kappa=18\n", "phi0 + kappa must not exceed gamma"),
+    ("kappa=18\n", "line 1: phi0 + kappa must not exceed gamma"),
     ("theta=1.5\n", "line 1: theta must lie in (0, 1)"),
     ("L_bar=0\n", "line 1: L_bar must lie in (0, 1]"),
     ("tau=2\n", "line 1: tau must be 0 or 1"),
     ("cost_per_death=-1\n", "line 1: cost_per_death must be non-negative"),
     ("chi=-1\n", "line 1: chi must be non-negative"),
     ("n_S=2\n", "line 1: n_S and n_I must be at least 3"),
-    # As for kappa above: the message starts with n_S, which is not set.
-    ("n_I=2\n", "n_S and n_I must be at least 3"),
+    ("n_I=2\n", "line 1: n_S and n_I must be at least 3"),
     ("n_L=1\n", "line 1: n_L must be at least 2"),
     ("tol=0\n", "line 1: tol must be positive"),
     ("S0=1.5\n", "line 1: S0 must lie in [0, 1], got 1.5"),
@@ -311,11 +313,12 @@ def _floats(lo, hi, **kw):
 
 @st.composite
 def criteria(draw):
+    # Only the fields a kind reads may be set: CLU and RDCLU take c,
+    # RDCLU alone takes rd.
     kind = draw(st.sampled_from(("CU", "TU", "CLU", "AU", "RDCLU")))
-    c = 0.0 if kind == "TU" else draw(_floats(0.0, 10.0))
-    rd = draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    if kind != "RDCLU":
-        rd = draw(st.sampled_from((0.0, rd)))
+    c = draw(_floats(0.0, 10.0)) if kind in ("CLU", "RDCLU") else 0.0
+    rd = (draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+          if kind == "RDCLU" else 0.0)
     u = draw(st.one_of(
         st.just(UtilityTransform()),
         _floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(

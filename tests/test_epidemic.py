@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from epiethics import EpidemicState, PlannerParams
@@ -22,6 +23,7 @@ from epiethics.epidemic import (
     sir_derivatives,
     stability_bound,
 )
+from epiethics.planner import GridSpec, simulate_optimal, solve_value_function
 
 PARAMS = PlannerParams()
 START = EpidemicState(S=0.98, I=0.02)
@@ -209,6 +211,30 @@ def test_randomized_trajectories_stay_in_bounds():
         assert np.all(np.diff(traj.D) >= -1e-12)
         total = traj.S + traj.I + traj.R + traj.D
         assert np.max(np.abs(total - total[0])) < 1e-9
+
+
+_, SMALL_POLICY = solve_value_function(PARAMS, GridSpec(n_S=30, n_I=30))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+       .filter(lambda v: sum(v) > 0.0),
+       controlled=st.booleans(), horizon=st.floats(0.01, 1.5),
+       dt_fraction=st.floats(0.25, 1.0))
+def test_closed_loop_conserves_mass_at_every_step(shares, controlled,
+                                                  horizon, dt_fraction):
+    # The RK4 closed loop under a solved policy or under no control, from
+    # any state, step size and horizon: every sample keeps each
+    # compartment in [0, 1] and the four summing to 1 within 1e-12.
+    total = sum(shares)
+    S, I, R, D = (v / total for v in shares)
+    state = EpidemicState(S=S, I=I, R=R, D=D)
+    policy = SMALL_POLICY if controlled else None
+    traj, _ = simulate_optimal(policy, PARAMS, state, horizon,
+                               dt_fraction * stability_bound(PARAMS))
+    path = np.stack([traj.S, traj.I, traj.R, traj.D])
+    assert np.all((path >= 0.0) & (path <= 1.0))
+    assert np.max(np.abs(path.sum(axis=0) - 1.0)) <= 1e-12
 
 
 def test_time_dependent_control_is_honoured():

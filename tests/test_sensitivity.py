@@ -12,7 +12,8 @@ import pytest
 
 from epiethics import EpidemicState, PlannerParams
 from epiethics.ethics import WelfareCriterion, default_criteria
-from epiethics.planner import GridSpec, SolverConvergenceError
+from epiethics.planner import (GridSpec, SolverConvergenceError,
+                               solve_value_function)
 from epiethics.sensitivity import (
     DEFAULT_REFERENCE,
     VictimProfile,
@@ -132,15 +133,15 @@ def test_sweep_is_deterministic(report):
 def test_failed_rows_are_recorded_and_skipped(monkeypatch):
     from epiethics import sensitivity as mod
 
-    real = mod.solve_value_function
+    real = mod.solve_stacked
 
-    def flaky(params, grid, tol=None, max_iters=500, **kw):
-        if params.cost_per_death != PARAMS.cost_per_death:
-            raise SolverConvergenceError("induced failure", residual=1.0,
-                                         row=1)
-        return real(params, grid, tol=tol, max_iters=max_iters, **kw)
+    def flaky(params, grid, costs, **kw):
+        # Every cost but the baseline's fails to converge.
+        return [out if cost == PARAMS.cost_per_death else
+                SolverConvergenceError("induced failure", residual=1.0, row=1)
+                for cost, out in zip(costs, real(params, grid, costs, **kw))]
 
-    monkeypatch.setattr(mod, "solve_value_function", flaky)
+    monkeypatch.setattr(mod, "solve_stacked", flaky)
     rep = run_sensitivity(PARAMS, (WelfareCriterion("CU"),
                                    WelfareCriterion("AU")), grid=SMALL)
     cu_row, au_row = rep.rows
@@ -192,14 +193,14 @@ def test_report_rows_expose_scenario_outcomes(report):
 def test_sweep_solves_each_distinct_cost_once(monkeypatch, report):
     from epiethics import sensitivity as mod
 
-    real = mod.solve_value_function
+    real = mod.solve_stacked
     solved_costs = []
 
-    def counting(params, grid, **kw):
-        solved_costs.append(params.cost_per_death)
-        return real(params, grid, **kw)
+    def counting(params, grid, costs, **kw):
+        solved_costs.extend(costs)
+        return real(params, grid, costs, **kw)
 
-    monkeypatch.setattr(mod, "solve_value_function", counting)
+    monkeypatch.setattr(mod, "solve_stacked", counting)
     cached = run_sensitivity(PARAMS, default_criteria(), grid=SMALL,
                              ladder=(0.0, 10.0, 20.0, 40.0))
     monkeypatch.undo()
@@ -210,11 +211,15 @@ def test_sweep_solves_each_distinct_cost_once(monkeypatch, report):
     assert cached == report
 
     # Without sharing: every row and policy from a solve of its own.
-    args = (SMALL, EpidemicState(S=0.98, I=0.02), 20.0, 1.0 / 365.0, None,
-            500)
-    alone = {row.label: mod._scenario(
-        row.label, replace(PARAMS, cost_per_death=row.cost_per_death), *args)
-        for row in cached.all_rows()}
+    def alone_scenario(label, cost):
+        params = replace(PARAMS, cost_per_death=cost)
+        _, policy = solve_value_function(params, SMALL)
+        row = mod._scenario(label, params, policy,
+                            EpidemicState(S=0.98, I=0.02), 20.0, 1.0 / 365.0)
+        return row, policy
+
+    alone = {row.label: alone_scenario(row.label, row.cost_per_death)
+             for row in cached.all_rows()}
     assert all(alone[row.label][0] == row for row in cached.all_rows())
     labels = [row.label for row in cached.rows]
     diffs = tuple((a, b, float(np.max(np.abs(alone[a][1].lockdown

@@ -1,17 +1,22 @@
-"""Property-based tests of the batched welfare evaluator.
+"""Property-based tests of the welfare orders.
 
 _criterion_values evaluates many allocations at once, stacking rows of
 equal length; the axiom checkers rely on it giving exactly the value
-criterion_value gives one allocation at a time.
+criterion_value gives one allocation at a time. Every supported order
+also satisfies Suppes-Sen dominance (A3), with or without a power
+transform, on any drawn allocation.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epiethics.ethics import (Allocation, UtilityTransform, WelfareCriterion,
-                              _criterion_values, _uniform_value,
-                              criterion_value, default_criteria)
+from epiethics.ethics import (Allocation, Ordering, UtilityTransform,
+                              WelfareCriterion, _criterion_values,
+                              _uniform_value, compare, criterion_value,
+                              default_criteria)
 
 CRITERIA = default_criteria() + (
     WelfareCriterion("RDCLU", rank_discount=0.5),
@@ -50,3 +55,21 @@ def test_closed_form_uniform_value_matches_direct_evaluation(level, n, crit):
     # The closed form may differ from the sorted sum by a few ulps.
     direct = criterion_value(Allocation.uniform(level, n), crit)
     assert _uniform_value(level, n, crit) == pytest.approx(direct, rel=1e-12)
+
+
+@PROPERTY
+@given(data=st.data(),
+       y=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       crit=st.sampled_from(default_criteria()),
+       eta=st.one_of(st.none(), st.floats(0.1, 0.9)))
+def test_rank_dominance_is_strictly_preferred(data, y, crit, eta):
+    # A3: x raises every rank of y (the k-th lowest level of x exceeds
+    # the k-th lowest of y), in any order; x must be strictly better.
+    if eta is not None:
+        crit = replace(crit, u=UtilityTransform("power", eta=eta))
+    bumps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(y),
+                               max_size=len(y)))
+    x = data.draw(st.permutations(
+        [v + b for v, b in zip(sorted(y), bumps)]))
+    assert compare(Allocation(tuple(x)), Allocation(tuple(y)), crit) \
+        is Ordering.StrictlyBetter
