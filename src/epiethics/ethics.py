@@ -12,21 +12,23 @@ Five criteria are supported:
   RDCLU  rank-discounted critical-level utilitarianism: after sorting
          ascending, rank r gets weight rank_discount**r
 
-check_axiom runs seeded randomized searches for counterexamples to the
+check_axioms runs seeded randomized searches for counterexamples to the
 classic axioms A1-A8 on small universes, so every reported witness is
-replayable and small enough to verify by hand. Verdicts are statements
-about the sampled universe, not proofs. Except for A6 and A7, whose
-draws depend on earlier results, a checker first draws all of its cases
-and then evaluates them in one vectorised batch per population size;
-the first failing case in draw order becomes the witness.
+replayable and small enough to verify by hand; check_axiom is its
+one-criterion case. Verdicts are statements about the sampled universe,
+not proofs. Except for A6 and A7, whose draws depend on earlier results
+and so on the criterion, a checker first draws all of its cases once for
+every criterion it is given, then evaluates each criterion on them in
+one vectorised batch per population size; each criterion's first
+failing case in draw order becomes its witness.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "WelfareCriterion",
     "Witness",
     "check_axiom",
+    "check_axioms",
     "compare",
     "criterion_value",
     "default_criteria",
@@ -189,13 +192,13 @@ def default_criteria() -> tuple:
 
 
 def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
-    """Welfare of each row of a (k, n) array of levels.
+    """Welfare of each row of a (k, n) array of levels sorted ascending.
 
-    Each row is sorted ascending before aggregation, so a value is
-    exactly invariant under permutations of its row.
+    Aggregating sorted rows makes a value exactly invariant under
+    permutations of its row.
     """
     n = levels.shape[1]
-    u = crit.u(np.sort(levels, axis=1))
+    u = crit.u(levels)
     if crit.kind == "CU":
         return np.sum(u, axis=1)
     if crit.kind in ("TU", "CLU"):
@@ -209,20 +212,37 @@ def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
     return np.sum(weights * (u - uc), axis=1)
 
 
-def _criterion_values(rows, crit: WelfareCriterion) -> np.ndarray:
-    """Welfare of each row of levels, one _welfare pass per row length.
+class _Cases:
+    """The rows of equally wide cases, grouped by length and sorted once.
 
-    Grouping rows by length, rather than padding them, keeps every value
-    bit-identical to the one-row evaluation of criterion_value.
+    values(crit) is the welfare of every row of every case, shape
+    (cases, rows per case), from one _welfare pass per row length; any
+    number of criteria share the grouping and the sort. Grouping rows by
+    length, rather than padding them, keeps every value bit-identical to
+    the one-row evaluation of criterion_value.
     """
-    values = np.empty(len(rows))
-    by_length = {}
-    for i, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(i)
-    for idx in by_length.values():
-        values[idx] = _welfare(np.array([rows[i] for i in idx], dtype=float),
-                               crit)
-    return values
+
+    def __init__(self, cases):
+        rows = [row for case in cases for row in case]
+        self.shape = (len(cases), len(rows) // len(cases))
+        by_length = {}
+        for i, row in enumerate(rows):
+            by_length.setdefault(len(row), []).append(i)
+        self.groups = [
+            (np.array(idx), np.sort(np.array([rows[i] for i in idx],
+                                             dtype=float), axis=1))
+            for idx in by_length.values()]
+
+    def values(self, crit: WelfareCriterion) -> np.ndarray:
+        values = np.empty(self.shape[0] * self.shape[1])
+        for idx, levels in self.groups:
+            values[idx] = _welfare(levels, crit)
+        return values.reshape(self.shape)
+
+
+def _criterion_values(rows, crit: WelfareCriterion) -> np.ndarray:
+    """Welfare of each row of levels, as one case of len(rows) rows."""
+    return _Cases([rows]).values(crit)[0]
 
 
 def criterion_value(x: Allocation, crit: WelfareCriterion) -> float:
@@ -231,7 +251,7 @@ def criterion_value(x: Allocation, crit: WelfareCriterion) -> float:
     Levels are sorted ascending before aggregation, so the value is
     exactly invariant under permutations.
     """
-    return float(_welfare(np.array([x.levels]), crit)[0])
+    return float(_welfare(np.sort([x.levels]), crit)[0])
 
 
 def _uniform_value(level: float, n, crit: WelfareCriterion):
@@ -322,11 +342,10 @@ def _rand_levels(rng, pop_cap, lo, hi) -> np.ndarray:
     return rng.uniform(lo, hi, n)
 
 
-def _case_values(cases, crit) -> np.ndarray:
-    """Welfare of every row of every case, shape (cases, rows per case)."""
-    width = len(cases[0])
-    rows = [row for case in cases for row in case]
-    return _criterion_values(rows, crit).reshape(len(cases), width)
+def _judged(cases, criteria, judge) -> list:
+    """judge(values) for each criterion, on the shared rows of cases."""
+    batch = _Cases(cases)
+    return [judge(batch.values(crit)) for crit in criteria]
 
 
 def _first(mask) -> Optional[int]:
@@ -346,40 +365,46 @@ _A8_PROBES = [((0.0, 20.0), (4.0, 5.0), (4.5,), (30.0,))]
 _NEG_EXPANSION_PROBES = [((-10.0, -10.0), -1.0)]
 
 # The batched checkers below draw every case first, in the order a
-# case-by-case loop would, evaluate all of them with one
-# _criterion_values call, and report the first failing case in that
-# order; only that case is turned into Allocations for its witness.
+# case-by-case loop would; their draws do not depend on the criterion,
+# so every criterion is judged on the same cases. Each criterion's
+# values come from the shared _Cases, and its first failing case in
+# draw order is its witness; only that case is turned into Allocations.
+# Rows built from drawn levels are plain lists, which are cheaper to
+# join than arrays and which _Cases stacks all the same. Each checker
+# returns one (verdict, witness, notes) per criterion.
 
 
-def _check_order(crit, rng, samples, lo, hi, pop_cap):
+def _check_order(criteria, rng, samples, lo, hi, pop_cap):
     cases = [[_rand_levels(rng, pop_cap, lo, hi) for _ in range(3)]
              for _ in range(samples)]
-    vx, vy, vz = _case_values(cases, crit).T
-    reflexive = _orders(vx, vx) == 0
-    xy, yz, xz = _orders(vx, vy), _orders(vy, vz), _orders(vx, vz)
-    intransitive = (xy >= 0) & (yz >= 0) & (xz < 0)
-    i = _first(~reflexive | intransitive)
-    if i is None:
-        return "pass", None
-    x, y, z = (_alloc(r) for r in cases[i])
-    if not reflexive[i]:
-        return "fail", Witness("reflexivity", {"x": x})
-    return "fail", Witness("transitivity",
-                           {"x": x, "y": y, "z": z,
-                            "x_vs_y": Ordering(int(xy[i])),
-                            "y_vs_z": Ordering(int(yz[i])),
-                            "x_vs_z": Ordering(int(xz[i]))})
+
+    def judge(v):
+        vx, vy, vz = v.T
+        reflexive = _orders(vx, vx) == 0
+        xy, yz, xz = _orders(vx, vy), _orders(vy, vz), _orders(vx, vz)
+        intransitive = (xy >= 0) & (yz >= 0) & (xz < 0)
+        i = _first(~reflexive | intransitive)
+        if i is None:
+            return "pass", None, ""
+        x, y, z = (_alloc(r) for r in cases[i])
+        if not reflexive[i]:
+            return "fail", Witness("reflexivity", {"x": x}), ""
+        return "fail", Witness("transitivity",
+                               {"x": x, "y": y, "z": z,
+                                "x_vs_y": Ordering(int(xy[i])),
+                                "y_vs_z": Ordering(int(yz[i])),
+                                "x_vs_z": Ordering(int(xz[i]))}), ""
+
+    return _judged(cases, criteria, judge)
 
 
 _CONTINUITY_DELTAS = (1e-4, 1e-6, 1e-8)
 
 
-def _check_continuity(crit, rng, samples, lo, hi, pop_cap):
+def _check_continuity(criteria, rng, samples, lo, hi, pop_cap):
     # Proxy: perturbing one level by delta moves the value by at most
     # K*delta for a finite empirical K, and the change vanishes with
     # delta. This is a bounded-modulus proxy, not topological continuity.
-    # worst[i, j] is the running maximum quotient after delta j of
-    # sample i, as a sample-by-sample loop would hold it.
     drawn, cases = [], []
     for _ in range(samples):
         x = _rand_levels(rng, pop_cap, lo, hi)
@@ -391,31 +416,41 @@ def _check_continuity(crit, rng, samples, lo, hi, pop_cap):
             case.append(bumped)
         drawn.append((x, k))
         cases.append(case)
-    v = _case_values(cases, crit)
-    change = np.abs(v[:, 1:] - v[:, :1])
-    quotients = (change / np.asarray(_CONTINUITY_DELTAS)).ravel()
-    # A running max from 0 that, like max(), passes over NaN quotients.
-    worst = np.fmax.accumulate(np.append(0.0, quotients))[1:].reshape(
-        change.shape)
-    grows = change[:, 1:] > change[:, :-1] + 1e-9
-    blows_up = ~np.isfinite(worst[:, -1]) | (worst[:, -1] > 1e9)
-    i = _first(grows.any(axis=1) | blows_up)
-    if i is None:
-        return "pass", None, float(worst[-1, -1])
-    x, k = drawn[i]
-    if grows[i].any():
-        j = int(np.argmax(grows[i])) + 1
+
+    def judge(v):
+        # worst[i, j] is the running maximum quotient after delta j of
+        # sample i, as a sample-by-sample loop would hold it.
+        change = np.abs(v[:, 1:] - v[:, :1])
+        quotients = (change / np.asarray(_CONTINUITY_DELTAS)).ravel()
+        # A running max from 0 that, like max(), passes over NaN quotients.
+        worst = np.fmax.accumulate(np.append(0.0, quotients))[1:].reshape(
+            change.shape)
+        grows = change[:, 1:] > change[:, :-1] + 1e-9
+        blows_up = ~np.isfinite(worst[:, -1]) | (worst[:, -1] > 1e9)
+        i = _first(grows.any(axis=1) | blows_up)
+        if i is None:
+            return "pass", None, _continuity_notes(worst[-1, -1])
+        x, k = drawn[i]
+        if grows[i].any():
+            j = int(np.argmax(grows[i])) + 1
+            return "fail", Witness("continuity",
+                                   {"x": _alloc(x), "index": k,
+                                    "delta": _CONTINUITY_DELTAS[j]}), \
+                _continuity_notes(worst[i, j])
+        worst_k = float(worst[i, -1])
         return "fail", Witness("continuity",
                                {"x": _alloc(x), "index": k,
-                                "delta": _CONTINUITY_DELTAS[j]}), \
-            float(worst[i, j])
-    worst_k = float(worst[i, -1])
-    return "fail", Witness("continuity",
-                           {"x": _alloc(x), "index": k,
-                            "quotient": worst_k}), worst_k
+                                "quotient": worst_k}), \
+            _continuity_notes(worst_k)
+
+    return _judged(cases, criteria, judge)
 
 
-def _check_suppes_sen(crit, rng, samples, lo, hi, pop_cap):
+def _continuity_notes(k) -> str:
+    return f"proxy check; empirical modulus K={float(k):.3g}"
+
+
+def _check_suppes_sen(criteria, rng, samples, lo, hi, pop_cap):
     # Construct pairs where x rank-dominates y strictly, then require
     # strict preference.
     cases = []
@@ -424,15 +459,19 @@ def _check_suppes_sen(crit, rng, samples, lo, hi, pop_cap):
         bumps = rng.uniform(0.1, 1.0, len(y))
         perm = rng.permutation(len(y))
         cases.append(((np.sort(y) + bumps)[perm], y))
-    v = _case_values(cases, crit)
-    i = _first(_orders(v[:, 0], v[:, 1]) != 1)
-    if i is None:
-        return "pass", None
-    x, y = cases[i]
-    return "fail", Witness("dominance", {"x": _alloc(x), "y": _alloc(y)})
+
+    def judge(v):
+        i = _first(_orders(v[:, 0], v[:, 1]) != 1)
+        if i is None:
+            return "pass", None, ""
+        x, y = cases[i]
+        return "fail", Witness("dominance",
+                               {"x": _alloc(x), "y": _alloc(y)}), ""
+
+    return _judged(cases, criteria, judge)
 
 
-def _existence_independence(crit, rng, samples, lo, hi, pop_cap, best):
+def _existence_independence(criteria, rng, samples, lo, hi, pop_cap, best):
     probes = _A4_PROBES if best else _A5_PROBES
     drawn = [(np.array(px), np.array(py), pz) for px, py, pz in probes]
     for _ in range(samples):
@@ -442,17 +481,53 @@ def _existence_independence(crit, rng, samples, lo, hi, pop_cap, best):
         z = max(x.max(), y.max()) + gap if best \
             else min(x.min(), y.min()) - gap
         drawn.append((x, y, float(z)))
-    v = _case_values([(x, y, np.append(x, z), np.append(y, z))
-                      for x, y, z in drawn], crit)
-    before, after = _orders(v[:, 0], v[:, 1]), _orders(v[:, 2], v[:, 3])
-    i = _first(before != after)
-    if i is None:
-        return "pass", None
-    x, y, z = drawn[i]
-    return "fail", Witness("independence",
-                           {"x": _alloc(x), "y": _alloc(y), "z": z,
-                            "before": Ordering(int(before[i])),
-                            "after": Ordering(int(after[i]))})
+    notes = "" if best else "appended level placed below every existing one"
+
+    def judge(v):
+        before, after = _orders(v[:, 0], v[:, 1]), _orders(v[:, 2], v[:, 3])
+        i = _first(before != after)
+        if i is None:
+            return "pass", None, notes
+        x, y, z = drawn[i]
+        return "fail", Witness("independence",
+                               {"x": _alloc(x), "y": _alloc(y), "z": z,
+                                "before": Ordering(int(before[i])),
+                                "after": Ordering(int(after[i]))}), notes
+
+    return _judged([(x, y, [*x.tolist(), z], [*y.tolist(), z])
+                    for x, y, z in drawn], criteria, judge)
+
+
+def _check_same_number(criteria, rng, samples, lo, hi, pop_cap):
+    drawn = [tuple(np.array(p) for p in probe) for probe in _A8_PROBES]
+    for _ in range(samples):
+        n = int(rng.integers(1, pop_cap + 1))
+        m = int(rng.integers(1, pop_cap + 1))
+        drawn.append((rng.uniform(lo, hi, n), rng.uniform(lo, hi, n),
+                      rng.uniform(lo, hi, m), rng.uniform(lo, hi, m)))
+
+    def judge(vals):
+        with_u = _orders(vals[:, 0], vals[:, 1])
+        with_v = _orders(vals[:, 2], vals[:, 3])
+        i = _first(with_u != with_v)
+        if i is None:
+            return "pass", None, ""
+        x, y, u, v = (_alloc(r) for r in drawn[i])
+        return "fail", Witness("same-number",
+                               {"x": x, "y": y, "u": u, "v": v,
+                                "with_u": Ordering(int(with_u[i])),
+                                "with_v": Ordering(int(with_v[i]))}), ""
+
+    cases = []
+    for drawn_case in drawn:
+        x, y, u, v = (r.tolist() for r in drawn_case)
+        cases.append((x + u, y + u, x + v, y + v))
+    return _judged(cases, criteria, judge)
+
+
+# A6 and A7 search case by case, and which cases they draw depends on
+# the criterion's earlier answers, so each criterion gets its own
+# generator. Each returns (verdict, witness, notes) for one criterion.
 
 
 def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
@@ -478,14 +553,16 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
                 ok = False
                 break
         if ok and tested >= min(10, samples):
-            return "pass", Witness("critical-level", {"c": c}), c
-    return "not-found-within-budget", None, None
+            return "pass", Witness("critical-level", {"c": c}), \
+                f"constructed critical level c={c:g}"
+    return "not-found-within-budget", None, ""
 
 
 def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
     # Existential: for sampled strict pairs x > y, search a level z and a
     # population size n <= pop_cap with y < (z)_n < x, preferring the
     # largest n the budget allows.
+    notes = f"existential search with population cap {pop_cap}"
     pairs_budget = min(samples, 50)
     found_all = True
     example = None
@@ -529,44 +606,40 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
         example = Witness("egalitarian-equivalent",
                           {"x": x, "y": y, "z": hit[0], "n": hit[1]})
     if found_all:
-        return "pass", example
-    return "not-found-within-budget", None
+        return "pass", example, notes
+    return "not-found-within-budget", None, notes
 
 
-def _check_same_number(crit, rng, samples, lo, hi, pop_cap):
-    drawn = [tuple(np.array(p) for p in probe) for probe in _A8_PROBES]
-    for _ in range(samples):
-        n = int(rng.integers(1, pop_cap + 1))
-        m = int(rng.integers(1, pop_cap + 1))
-        drawn.append((rng.uniform(lo, hi, n), rng.uniform(lo, hi, n),
-                      rng.uniform(lo, hi, m), rng.uniform(lo, hi, m)))
-    vals = _case_values([(np.concatenate((x, u)), np.concatenate((y, u)),
-                          np.concatenate((x, v)), np.concatenate((y, v)))
-                         for x, y, u, v in drawn], crit)
-    with_u = _orders(vals[:, 0], vals[:, 1])
-    with_v = _orders(vals[:, 2], vals[:, 3])
-    i = _first(with_u != with_v)
-    if i is None:
-        return "pass", None
-    x, y, u, v = (_alloc(r) for r in drawn[i])
-    return "fail", Witness("same-number",
-                           {"x": x, "y": y, "u": u, "v": v,
-                            "with_u": Ordering(int(with_u[i])),
-                            "with_v": Ordering(int(with_v[i]))})
+_SHARED_DRAW_CHECKERS = {
+    "A1": _check_order,
+    "A2": _check_continuity,
+    "A3": _check_suppes_sen,
+    "A4": partial(_existence_independence, best=True),
+    "A5": partial(_existence_independence, best=False),
+    "A8": _check_same_number,
+}
+_PER_CRITERION_CHECKERS = {
+    "A6": _check_critical_level,
+    "A7": _check_egalitarian_equivalence,
+}
 
 
-def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
-                seed: int = 0, pop_cap: int = 8,
-                level_range=(-10.0, 10.0)) -> AxiomReport:
-    """Randomized check of one axiom A1-A8 against a criterion.
+def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
+                 pop_cap: int = 8, level_range=(-10.0, 10.0)) -> list:
+    """Randomized check of one axiom A1-A8 against several criteria.
 
-    The search is seeded and fully deterministic; small hand-checkable
-    probe instances are tried before random sampling so that textbook
-    failures come back with readable witnesses. A1-A5 and A8 draw all
-    their cases first, evaluate them in one batch per population size
-    and report the first failing case in draw order, the case a
-    case-by-case loop would stop at. A6 and A7 are existential
-    constructions, searched case by case, and may report
+    Returns one AxiomReport per criterion, in order, each equal to what
+    check_axiom returns for that criterion alone. The search is seeded
+    and fully deterministic; small hand-checkable probe instances are
+    tried before random sampling so that textbook failures come back
+    with readable witnesses. A1-A5 and A8 draw their cases once, with the
+    generator seeded by seed, and judge every criterion on them: the
+    rows are grouped by length and sorted once, each criterion's values
+    come from one batch per population size, and each criterion reports
+    its own first failing case in draw order, the case a case-by-case
+    loop would stop at. A6 and A7 are existential constructions whose
+    draws depend on the criterion; each criterion is searched case by
+    case with its own generator seeded by seed, and may report
     "not-found-within-budget", which is weaker than "fail".
     """
     if axiom not in AXIOM_IDS:
@@ -578,39 +651,30 @@ def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
     lo, hi = float(level_range[0]), float(level_range[1])
     if not lo < hi:
         raise ValueError("level range must be nondegenerate")
-    rng = np.random.default_rng(seed)
-    notes = ""
-    if axiom == "A1":
-        verdict, witness = _check_order(crit, rng, samples, lo, hi, pop_cap)
-    elif axiom == "A2":
-        verdict, witness, k = _check_continuity(crit, rng, samples, lo, hi,
-                                                pop_cap)
-        notes = f"proxy check; empirical modulus K={k:.3g}"
-    elif axiom == "A3":
-        verdict, witness = _check_suppes_sen(crit, rng, samples, lo, hi,
-                                             pop_cap)
-    elif axiom == "A4":
-        verdict, witness = _existence_independence(crit, rng, samples, lo, hi,
-                                                   pop_cap, best=True)
-    elif axiom == "A5":
-        verdict, witness = _existence_independence(crit, rng, samples, lo, hi,
-                                                   pop_cap, best=False)
-        notes = "appended level placed below every existing one"
-    elif axiom == "A6":
-        verdict, witness, c = _check_critical_level(crit, rng, samples, lo,
-                                                    hi, pop_cap)
-        if c is not None:
-            notes = f"constructed critical level c={c:g}"
-    elif axiom == "A7":
-        verdict, witness = _check_egalitarian_equivalence(
-            crit, rng, samples, lo, hi, pop_cap)
-        notes = f"existential search with population cap {pop_cap}"
+    criteria = tuple(criteria)
+    if axiom in _PER_CRITERION_CHECKERS:
+        check = _PER_CRITERION_CHECKERS[axiom]
+        results = [check(crit, np.random.default_rng(seed), samples, lo, hi,
+                         pop_cap) for crit in criteria]
     else:
-        verdict, witness = _check_same_number(crit, rng, samples, lo, hi,
-                                              pop_cap)
-    return AxiomReport(axiom=axiom, criterion=crit.label, samples=samples,
-                       verdict=verdict, witness=witness, seed=seed,
-                       notes=notes)
+        results = _SHARED_DRAW_CHECKERS[axiom](
+            criteria, np.random.default_rng(seed), samples, lo, hi, pop_cap)
+    return [AxiomReport(axiom=axiom, criterion=crit.label, samples=samples,
+                        verdict=verdict, witness=witness, seed=seed,
+                        notes=notes)
+            for crit, (verdict, witness, notes) in zip(criteria, results)]
+
+
+def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
+                seed: int = 0, pop_cap: int = 8,
+                level_range=(-10.0, 10.0)) -> AxiomReport:
+    """Randomized check of one axiom A1-A8 against one criterion.
+
+    The one-criterion case of check_axioms, which describes the search.
+    """
+    (report,) = check_axioms((crit,), axiom, samples, seed, pop_cap,
+                             level_range)
+    return report
 
 
 def replay_witness(crit: WelfareCriterion, report: AxiomReport) -> bool:
@@ -731,12 +795,18 @@ def _check_negative_expansion(crit, rng, samples, lo, hi, pop_cap):
     for _ in range(samples):
         x = _rand_levels(rng, pop_cap, lo, hi)
         drawn.append((x, rng.uniform(min(lo, -1e-3), -1e-3)))
-    v = _case_values([(np.append(x, z), x) for x, z in drawn], crit)
-    i = _first(_orders(v[:, 0], v[:, 1]) == 1)
-    if i is None:
-        return "pass", None
-    x, z = drawn[i]
-    return "fail", Witness("negative-expansion", {"x": _alloc(x), "z": z})
+
+    def judge(v):
+        i = _first(_orders(v[:, 0], v[:, 1]) == 1)
+        if i is None:
+            return "pass", None
+        x, z = drawn[i]
+        return "fail", Witness("negative-expansion",
+                               {"x": _alloc(x), "z": z})
+
+    (result,) = _judged([([*x.tolist(), z], x) for x, z in drawn], (crit,),
+                        judge)
+    return result
 
 
 # Published classification of these criteria, for side-by-side display:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import platform
 from dataclasses import replace
 from typing import Optional
@@ -42,8 +43,8 @@ __all__ = [
 def fmt(x) -> str:
     """Decimal notation, nine significant digits, never exponential."""
     x = float(x)
-    if not np.isfinite(x):
-        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
+    if not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return np.format_float_positional(x, precision=9, unique=False,
                                       fractional=False)
 

@@ -309,27 +309,35 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     DIp[..., -1] = 0.0   # no upwind neighbour above the top edge
     DIm = (v_row[..., 1:] - v_row[..., :-1]) / hI
 
-    if controls is None:
-        Ls = _row_candidates(S, I, DS, DIp, DIm, params)
-    else:
-        Ls = np.broadcast_to(controls, DS.shape + controls.shape)
+    # The candidates depend on the scenario; a finite control set does
+    # not, and then flow and f_I are computed once on (nodes, controls)
+    # and only the priced death term in cost spans the scenario axes.
+    Ls = (_row_candidates(S, I, DS, DIp, DIm, params) if controls is None
+          else controls)
     flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params, price)
     H = _hamiltonian(flow, f_I, cost, DS[..., None], DIp[..., None],
                      DIm[..., None])
     k = H.argmin(axis=-1)             # first minimum = smallest L
     # Flat indices of the minimizers: cheaper than fancy indexing on
-    # every axis.
+    # every axis. Each array's shape is a trailing part of H's, so the
+    # flat index into H, modulo the array's size, indexes it.
     k += np.arange(0, H.size, H.shape[-1]).reshape(k.shape)
-    return (H.ravel()[k], Ls.ravel()[k], flow.ravel()[k], f_I.ravel()[k],
-            cost.ravel()[k])
+
+    def at_k(arr):
+        return arr.ravel()[k if arr.size == H.size else k % arr.size]
+
+    return at_k(H), at_k(Ls), at_k(flow), at_k(f_I), at_k(cost)
 
 
 @cache
-def _solve_banded():
-    # scipy.linalg takes about 0.1 s to import, so it is imported on the
-    # first row solve, not by commands that never solve.
-    from scipy.linalg import solve_banded
-    return solve_banded
+def _gtsv():
+    # LAPACK's tridiagonal solver, the routine solve_banded calls for a
+    # (1, 1) band, called directly to skip scipy's wrapper. scipy.linalg
+    # takes about 0.1 s to import, so it is imported on the first row
+    # solve, not by commands that never solve.
+    from scipy.linalg import get_lapack_funcs
+    (gtsv,) = get_lapack_funcs(("gtsv",), (np.empty(0),))
+    return gtsv
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
@@ -338,19 +346,33 @@ def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
     With leading scenario axes, the rows form one block-diagonal system
     whose couplings across block edges are exact zeros, solved in one
     call. A finite block then equals the block solved alone; a block
-    that overflows spreads NaN (0 * inf) into its neighbours.
+    that overflows spreads NaN (0 * inf) into its neighbours. As with
+    solve_banded, non-finite coefficients raise ValueError and a
+    singular system raises LinAlgError.
     """
     a = flow_k / hS
     bp = np.where(fI_k > 0.0, fI_k, 0.0) / hI
     bp[..., -1] = 0.0                 # dropped term at the top edge
     bm = np.where(fI_k < 0.0, -fI_k, 0.0) / hI
     diag = rho + a + bp + bm
-    ab = np.zeros((3,) + diag.shape)
-    ab[0, ..., 1:] = -bp[..., :-1]
-    ab[1] = diag
-    ab[2, ..., :-1] = -bm[..., 1:]
     rhs = cost_k + a * v_prev[..., 1:]  # the I = 0 neighbour is pinned at 0
-    x = _solve_banded()((1, 1), ab.reshape(3, -1), rhs.reshape(-1))
+    # bp and bm are never NaN (a NaN drift gives 0 in both), so the
+    # off-diagonals -bp and -bm are finite wherever the diagonal is.
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # Sub- and super-diagonal, with the zero couplings across block edges
+    # at the same places and of the same sign as in solve_banded's band.
+    lower = -bm
+    lower[..., 0] = 0.0
+    upper = -bp
+    upper[..., -1] = 0.0
+    # Every argument is a temporary, so LAPACK may overwrite them all.
+    *_, x, info = _gtsv()(lower.ravel()[1:], diag.ravel(),
+                          upper.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x.reshape(diag.shape)
 
 

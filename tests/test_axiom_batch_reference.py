@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from epiethics.cli import main
-from epiethics.ethics import (Allocation, Ordering, UtilityTransform,
-                              WelfareCriterion, Witness,
+from epiethics.ethics import (AXIOM_IDS, Allocation, Ordering,
+                              UtilityTransform, WelfareCriterion, Witness,
                               _check_negative_expansion, check_axiom,
-                              default_criteria)
+                              check_axioms, default_criteria)
 
 ROOT = Path(__file__).resolve().parents[1]
 LO, HI, POP_CAP = -10.0, 10.0, 8
@@ -275,3 +275,45 @@ def test_ethics_artifacts_keep_their_reference_digests(tmp_path):
     for name in ("ethics.csv", "ethics.txt"):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == want[f"ethics/{name}"], name
+
+
+# ---------------------------------------------------------------------------
+# several criteria on one draw against one criterion at a time
+# ---------------------------------------------------------------------------
+
+def report_key(rep):
+    return (rep.axiom, rep.criterion, rep.samples, rep.seed, rep.verdict,
+            rep.notes, rep.witness.describe() if rep.witness else None)
+
+
+def one_at_a_time(criteria, axiom, seed):
+    return [report_key(check_axiom(crit, axiom, samples=SAMPLES, seed=seed,
+                                   pop_cap=POP_CAP, level_range=(LO, HI)))
+            for crit in criteria]
+
+
+def together(criteria, axiom, seed):
+    return [report_key(rep)
+            for rep in check_axioms(criteria, axiom, samples=SAMPLES,
+                                    seed=seed, pop_cap=POP_CAP,
+                                    level_range=(LO, HI))]
+
+
+@pytest.mark.parametrize("axiom", AXIOM_IDS)
+def test_shared_draw_equals_one_criterion_checks(axiom):
+    for seed in range(10):
+        assert together(CRITERIA, axiom, seed) \
+            == one_at_a_time(CRITERIA, axiom, seed), seed
+
+
+@pytest.mark.parametrize("axiom", AXIOM_IDS)
+def test_improper_criteria_leave_the_others_verdicts_alone(axiom):
+    # A NaN-valued, a stepped and an oscillating criterion judged on the
+    # same draw as the proper ones: every report is still the one that
+    # criterion gets on its own.
+    improper = tuple(WelfareCriterion("CU", u=u)
+                     for u in (Undefined(), Staircase(), Wobbly()))
+    mixed = improper[:1] + CRITERIA[:3] + improper[1:] + CRITERIA[3:]
+    for seed in range(3):
+        assert together(mixed, axiom, seed) \
+            == one_at_a_time(mixed, axiom, seed), seed

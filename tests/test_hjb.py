@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from epiethics import EpidemicState, PlannerParams
 from epiethics.planner import (
@@ -24,6 +25,7 @@ from epiethics.planner import (
     SolverNumericalError,
     ValueField,
     _row_minimize,
+    _row_policy_eval,
     _row_quantities,
     bellman_residual,
     boundary_value_s_zero,
@@ -249,6 +251,69 @@ def test_exact_minimizer_is_no_worse_than_a_fine_scan(
                                        controls=scan)
     assert np.all(H <= H_scan)
     assert np.all((L >= 0.0) & (L <= L_bar))
+
+
+def row_system(rows, n=40, seed=0):
+    """Random policy-evaluation inputs for `rows` stacked S-rows of n
+    active nodes; about a quarter of the I-drifts are exactly 0."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, n)
+    f_I = np.where(rng.uniform(size=shape) < 0.25, 0.0,
+                   rng.uniform(-3.0, 3.0, shape))
+    return (0.7, rng.uniform(0.0, 3.0, shape), f_I,
+            rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, (rows, n + 1)),
+            1.0 / n, 1.0 / n)
+
+
+def banded_solve(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
+    # The same block-diagonal system through scipy's solve_banded.
+    a = flow_k / hS
+    bp = np.where(fI_k > 0.0, fI_k, 0.0) / hI
+    bp[..., -1] = 0.0
+    bm = np.where(fI_k < 0.0, -fI_k, 0.0) / hI
+    diag = rho + a + bp + bm
+    ab = np.zeros((3,) + diag.shape)
+    ab[0, ..., 1:] = -bp[..., :-1]
+    ab[1] = diag
+    ab[2, ..., :-1] = -bm[..., 1:]
+    rhs = cost_k + a * v_prev[..., 1:]
+    return solve_banded((1, 1), ab.reshape(3, -1),
+                        rhs.reshape(-1)).reshape(diag.shape)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_row_solve_equals_solve_banded_bit_for_bit(rows):
+    for seed in range(5):
+        args = row_system(rows, seed=seed)
+        got = _row_policy_eval(*args)
+        assert got.tobytes() == banded_solve(*args).tobytes()
+        one = _row_policy_eval(args[0], *(a[0] for a in args[1:5]),
+                               *args[5:])
+        assert one.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("which, bad", [
+    (1, np.nan), (2, np.inf), (2, -np.inf), (3, np.nan), (4, np.inf)],
+    ids=["flow-nan", "drift-inf", "drift-minus-inf", "cost-nan",
+         "v-prev-inf"])
+def test_row_solve_rejects_non_finite_coefficients(which, bad):
+    args = list(row_system(2))
+    args[which] = args[which].copy()
+    args[which][1, 7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        banded_solve(*args)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _row_policy_eval(*args)
+
+
+def test_row_solve_reports_a_singular_system():
+    # No discounting, no flow and no drift: the diagonal is zero.
+    _, flow, f_I, cost, v_prev, hS, hI = row_system(2)
+    args = (0.0, 0.0 * flow, 0.0 * f_I, cost, v_prev, hS, hI)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        banded_solve(*args)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _row_policy_eval(*args)
 
 
 # ---------------------------------------------------------------------------
