@@ -210,8 +210,8 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     """Fixed-step RK4 on the closed-loop system, plus optional quadratures.
 
     control(S, I, R, D, t) gives the lockdown as a float. It is called at
-    every RK4 stage, where its value must lie in [0, L_bar], and once more
-    for the lockdown reported at the final sample. extra_rhs(S, I, L, t)
+    every RK4 stage and once more for the lockdown reported at the final
+    sample; every value must lie in [0, L_bar]. extra_rhs(S, I, L, t)
     may return n_extra further derivative components (e.g. discounted
     running costs), integrated alongside the state with the same RK4
     weights. Returns the sampled trajectory and the list of the n_extra
@@ -302,7 +302,9 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         path_out[k + 1, 3] = D
 
     # Lockdown that would apply at the final sample.
-    Ls_out[n] = control(S, I, R, D, t)
+    L_end = control(S, I, R, D, t)
+    _check_lockdown(L_end, params)
+    Ls_out[n] = L_end
 
     traj = Trajectory(t=ts, S=path[:, 0], I=path[:, 1], R=path[:, 2],
                       D=path[:, 3], L=Ls)
@@ -316,9 +318,9 @@ def integrate_trajectory(state0: EpidemicState, control,
 
     control(state, t) receives an EpidemicState (built without
     validation) and the stage time. It is re-evaluated at every RK4
-    stage, where it must return a lockdown intensity in [0, L_bar] or a
-    ValueError is raised, and once more for the lockdown recorded at the
-    final sample. dt must satisfy dt <= 0.1 / max(beta, gamma). A step
+    stage and once more for the lockdown recorded at the final sample,
+    and must return a lockdown intensity in [0, L_bar] every time or a
+    ValueError is raised. dt must satisfy dt <= 0.1 / max(beta, gamma). A step
     that takes a compartment more than 1e-12 outside [0, 1] raises
     IntegrationError; smaller excursions are clipped. The results equal,
     bit for bit, RK4 on numpy state vectors in the same operation order

@@ -280,6 +280,21 @@ def test_integrator_rejects_lockdown_outside_range(bad):
         integrate_trajectory(START, late, PARAMS, horizon=1.0, dt=1 / 365)
 
 
+def test_final_sample_lockdown_is_checked():
+    # 365 steps make 1,460 stage calls; the 1,461st gives the lockdown
+    # recorded at the final sample, and is checked like the others.
+    calls = []
+
+    def last_bad(state, t):
+        calls.append(t)
+        return 5.0 if len(calls) == 1461 else 0.0
+
+    with pytest.raises(ValueError, match=r"lockdown L=5\.0 outside"):
+        integrate_trajectory(START, last_bad, PARAMS, horizon=1.0,
+                             dt=1 / 365)
+    assert len(calls) == 1461
+
+
 def test_control_sees_the_state_and_stage_time():
     seen = []
 

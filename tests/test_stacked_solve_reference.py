@@ -4,25 +4,35 @@ solve_stacked advances every death cost of a sweep through the S-rows
 together: one minimization and one block-diagonal tridiagonal solve per
 policy-iteration step, with each cost frozen once its row converges. The
 reference below is the row march that solved one cost at a time before
-the costs were stacked, copied in unchanged apart from names. Each cost
-runs exactly the operations of its own solve, so V and L must be equal
-exactly, not to a tolerance, and a failing cost must fail with the same
-error while the others come out unchanged.
+the costs were stacked, copied in unchanged apart from names and the
+first guess of each row, which it extrapolates from the rows below as
+the solver does. Each cost runs exactly the operations of its own solve,
+so V and L must be equal exactly, not to a tolerance, and a failing cost
+must fail with the same error while the others come out unchanged.
+
+The first guess only picks a row's first policy. Started from a flat
+copy of the row below instead, the march stops at another field whose
+Bellman residual is also below tol; the scheme is monotone, so the two
+fields lie within 2*tol/(r+nu) of each other, which is checked here too.
 """
 
+import logging
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from epiethics import parse_config
+from epiethics import PlannerParams, parse_config
 from epiethics import planner
 from epiethics.planner import (GridSpec, SolverConvergenceError,
-                               SolverNumericalError, boundary_value_s_zero,
-                               solve_stacked, solve_value_function)
+                               SolverNumericalError, bellman_residual,
+                               boundary_value_s_zero, solve_stacked,
+                               solve_value_function)
 from epiethics.sensitivity import death_cost_from_criterion
 
 CONFIG = parse_config(
@@ -107,8 +117,13 @@ def ref_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
 
 
 def reference_solve(params, grid, max_iters=500, controls=None,
-                    policy_eval=ref_policy_eval):
-    """(V, L) of one cost, or the solver error it raises."""
+                    policy_eval=ref_policy_eval, start="extrapolated"):
+    """(V, L) of one cost, or the solver error it raises.
+
+    start="extrapolated" begins each row from the rows below it, as the
+    solver does; start="flat" from a copy of the row below, as the march
+    did before the extrapolated start.
+    """
     tol = 1e-8 * params.w
     Ls = None if controls is None else np.sort(np.asarray(controls, float))
     sN, iN = grid.s_nodes(), grid.i_nodes()
@@ -121,7 +136,12 @@ def reference_solve(params, grid, max_iters=500, controls=None,
     for i in range(1, grid.n_S):
         S = sN[i]
         v_prev = V[i - 1]
-        v = v_prev.copy()
+        if start == "flat" or i == 1:
+            v = v_prev.copy()
+        elif i == 2:
+            v = 2.0 * v_prev - V[0]
+        else:
+            v = 3.0 * v_prev - 3.0 * V[i - 2] + V[i - 3]
         v[0] = 0.0
         residual = math.inf
         for _ in range(max_iters):
@@ -197,6 +217,94 @@ def test_one_cost_solve_equals_the_reference():
     for cost in (COSTS[1], 0.0):
         got = solve_value_function(priced(cost), grid)
         assert_same_outcome(got, reference_solve(priced(cost), grid))
+
+
+# ---------------------------------------------------------------------------
+# the extrapolated first guess: fewer steps, the same fixed point
+# ---------------------------------------------------------------------------
+
+def monotone_bound(params):
+    # How far apart two fields whose Bellman residuals are both below
+    # tol can lie, for a monotone scheme with discount r + nu.
+    return 2.0 * 1e-8 * params.w / (params.r + params.nu)
+
+
+def count_row_solves(monkeypatch):
+    # A list that gains one entry per _row_policy_eval call.
+    real = planner._row_policy_eval
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(planner, "_row_policy_eval", counting)
+    return calls
+
+
+def test_benchmark_solve_makes_few_row_solves(monkeypatch):
+    # 1,382 row solves from a flat first guess; about 340 extrapolated.
+    calls = count_row_solves(monkeypatch)
+    solve_value_function(PARAMS, CONFIG.grid)
+    assert len(calls) <= 400
+
+
+def test_benchmark_field_is_the_flat_starts_within_the_bound():
+    grid = CONFIG.grid
+    value, _ = solve_value_function(PARAMS, grid)
+    V_flat, _ = reference_solve(PARAMS, grid, start="flat")
+    assert bellman_residual(value, PARAMS) < 1e-8 * PARAMS.w
+    assert np.max(np.abs(value.values - V_flat)) <= monotone_bound(PARAMS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n_S=st.integers(20, 40), n_I=st.integers(20, 40),
+       beta=st.floats(5.0, 80.0), gamma=st.floats(5.0, 40.0),
+       theta=st.floats(0.05, 0.95), L_bar=st.floats(0.05, 1.0),
+       tau=st.sampled_from((0, 1)), cost=st.floats(0.0, 200.0))
+def test_extrapolated_start_reaches_the_flat_starts_fixed_point(
+        n_S, n_I, beta, gamma, theta, L_bar, tau, cost):
+    params = PlannerParams(beta_contact=beta, gamma=gamma, theta=theta,
+                           L_bar=L_bar, tau=tau, cost_per_death=cost)
+    grid = GridSpec(n_S=n_S, n_I=n_I)
+    value, _ = solve_value_function(params, grid)
+    V_flat, _ = reference_solve(params, grid, start="flat")
+    assert bellman_residual(value, params) < 1e-8 * params.w
+    assert np.max(np.abs(value.values - V_flat)) <= monotone_bound(params)
+
+
+FINISHED = re.compile(r"solve finished, V\(1,1\)=\S+, (\d+) "
+                      r"policy-iteration steps, worst row residual (\S+)$")
+
+
+def finished_lines(records):
+    return [FINISHED.match(r.getMessage()).groups() for r in records
+            if r.getMessage().startswith("solve finished")]
+
+
+def test_finished_line_reports_steps_and_worst_residual(monkeypatch, caplog):
+    # The steps are the cost's row solves, summed over rows; its worst
+    # final row residual is the field's Bellman residual.
+    calls = count_row_solves(monkeypatch)
+    params = priced(COSTS[1])
+    with caplog.at_level(logging.INFO, logger="epiethics.planner"):
+        value, _ = solve_value_function(params, SMALL)
+    ((steps, worst),) = finished_lines(caplog.records)
+    assert int(steps) == len(calls) > 0
+    assert worst == f"{bellman_residual(value, params):.3e}"
+
+    # Stacked, each cost reports the steps and residual of its own solve.
+    caplog.clear()
+    monkeypatch.undo()
+    with caplog.at_level(logging.INFO, logger="epiethics.planner"):
+        solve_stacked(PARAMS, SMALL, COSTS)
+        stacked = finished_lines(caplog.records)
+        caplog.clear()
+        for cost in COSTS:
+            solve_value_function(priced(cost), SMALL)
+        alone = finished_lines(caplog.records)
+    assert stacked == alone
+    assert stacked[COSTS.index(0.0)][0] == "0"
 
 
 # ---------------------------------------------------------------------------
