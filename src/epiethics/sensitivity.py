@@ -153,7 +153,8 @@ def run_sensitivity(params: PlannerParams, criteria,
     params.cost_per_death first, are then solved together by one
     solve_stacked call, and the rows are walked in order. The baseline's
     solver failure propagates. Criterion and ladder rows of equal cost
-    share one solve and simulation under their own labels. A criterion
+    share one solve and simulation under their own labels; one INFO line
+    per simulated cost names the scenarios that shared it. A criterion
     or ladder scenario whose cost cannot be derived or is rejected
     (ValueError), or whose solve fails (SolverConvergenceError,
     SolverNumericalError), is recorded with its error message, and its
@@ -187,6 +188,7 @@ def run_sensitivity(params: PlannerParams, criteria,
               for cost, out in zip(costs, solve_stacked(
                   params, grid, costs, tol=tol, max_iters=max_iters))}
     outcomes = {}    # cost -> (row, policy), simulated once per cost
+    shared = {}      # cost -> labels of the scenarios given its outcome
 
     def outcome(label, cost, priced):
         if isinstance(priced, Exception):
@@ -197,6 +199,7 @@ def run_sensitivity(params: PlannerParams, criteria,
         if cost not in outcomes:
             outcomes[cost] = (_scenario(label, priced, policy, state0,
                                         horizon, dt), policy)
+        shared.setdefault(cost, []).append(label)
         row, policy = outcomes[cost]
         return replace(row, label=label), policy
 
@@ -205,6 +208,8 @@ def run_sensitivity(params: PlannerParams, criteria,
     baseline, _ = outcome("benchmark", params.cost_per_death, params)
 
     walked = [outcome(*scenario) for scenario in scenarios]
+    for cost, labels in shared.items():
+        logger.info("cost %.12g shared by %s", cost, ", ".join(labels))
     rows = [row for row, _ in walked[:n_criteria]]
     policies = [(row.label, policy) for row, policy in walked[:n_criteria]]
 

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from epiethics import EpidemicState, PlannerParams
 from epiethics.epidemic import (
     IntegrationError,
+    ParameterError,
     basic_reproduction_number,
     fatality_rate,
     integrate_trajectory,
@@ -129,6 +130,14 @@ def test_state_requires_unit_mass():
         EpidemicState(S=0.5, I=-0.1, R=0.6)  # negative compartment
 
 
+@pytest.mark.parametrize("shares", [
+    dict(S=math.nan, I=0.02), dict(S=0.98, I=math.nan),
+    dict(S=0.98, I=0.02, R=math.nan), dict(S=0.98, I=0.02, D=math.nan)])
+def test_state_rejects_nan(shares):
+    with pytest.raises(ValueError, match="outside"):
+        EpidemicState(**shares)
+
+
 def test_state_clips_roundoff():
     state = EpidemicState(S=1.0 + 5e-13, I=-5e-13, R=0.0)
     assert state.S == 1.0 and state.I == 0.0
@@ -145,6 +154,22 @@ def test_parameter_validation_messages_name_the_field():
         PlannerParams(L_bar=1.2)
     with pytest.raises(ValueError, match="cost_per_death"):
         PlannerParams(cost_per_death=-1.0)
+
+
+FLOAT_FIELDS = ("beta_contact", "gamma", "phi0", "kappa", "theta", "L_bar",
+                "r", "nu", "w", "cost_per_death", "chi")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_parameters_are_rejected(name, bad):
+    # w=inf used to pass, and the uncontrolled run then reported
+    # gdp_loss = inf * 0 = nan.
+    with pytest.raises(ParameterError, match=f"^{name} must be finite$") \
+            as info:
+        PlannerParams(**{name: bad})
+    assert info.value.keys == (name,)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +290,17 @@ def test_escape_raises_integration_error(monkeypatch):
     with pytest.raises(IntegrationError):
         integrate_trajectory(START, constant(0.0), PARAMS,
                              horizon=1.0, dt=1 / 365)
+
+
+@pytest.mark.parametrize("shares", [(math.nan, 0.02, 0.0, 0.0),
+                                    (0.98, 0.02, math.nan, 0.0)])
+def test_nan_state_raises_integration_error(shares):
+    # A NaN compartment fails every comparison, so the escape check is
+    # written to fail on it instead of passing it through to an
+    # all-NaN summary.
+    start = EpidemicState._unchecked(*shares, 0.0)
+    with pytest.raises(IntegrationError, match="step 0"):
+        simulate_optimal(None, PlannerParams(), start, 20.0, 1 / 365)
 
 
 @pytest.mark.parametrize("bad", [-0.01, PARAMS.L_bar + 0.01])

@@ -5,7 +5,9 @@ building an EpidemicState for every control call, and interpolates the
 policy field on numpy scalars. The package's loop runs on plain floats
 in the same operation order, so trajectories and discounted costs must
 be equal exactly, not to a tolerance: this equality is what keeps the
-CSV artifacts byte-identical across the two forms.
+CSV artifacts byte-identical across the two forms. Equal means equal bit
+patterns, so that -0.0 and +0.0, which the CSV writes differently, are
+told apart.
 """
 
 import math
@@ -15,7 +17,8 @@ import pytest
 
 from epiethics import EpidemicState, PlannerParams
 from epiethics.epidemic import integrate_trajectory
-from epiethics.planner import GridSpec, simulate_optimal, solve_value_function
+from epiethics.planner import (GridSpec, PolicyField, evaluate_policy,
+                               simulate_optimal, solve_value_function)
 
 PARAMS = PlannerParams()
 START = EpidemicState(S=0.98, I=0.02)
@@ -97,9 +100,17 @@ def reference_policy_control(policy, params):
     return control
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def same_bits(a, b):
+    return np.array_equal(bits(a), bits(b))
+
+
 def assert_same_path(traj, ref_path):
     for name, want in zip("tSIRDL", ref_path):
-        assert np.array_equal(getattr(traj, name), want), name
+        assert same_bits(getattr(traj, name), want), name
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +131,8 @@ def test_solved_policy_simulation_is_bit_identical(policy40, start):
         start, reference_policy_control(policy40, PARAMS), PARAMS, HORIZON,
         DT, discounted=True)
     assert_same_path(traj, ref_path)
-    assert summary.gdp_loss == gdp and summary.death_cost == deaths
+    assert same_bits(summary.gdp_loss, gdp)
+    assert same_bits(summary.death_cost, deaths)
     assert summary.peak_L > 0.0        # the policy does lock down
 
 
@@ -129,8 +141,8 @@ def test_uncontrolled_simulation_is_bit_identical():
     ref_path, (gdp, deaths) = reference_rk4(
         START, lambda state, t: 0.0, PARAMS, HORIZON, DT, discounted=True)
     assert_same_path(traj, ref_path)
-    assert summary.gdp_loss == gdp == 0.0
-    assert summary.death_cost == deaths
+    assert same_bits(summary.gdp_loss, gdp) and same_bits(gdp, 0.0)
+    assert same_bits(summary.death_cost, deaths)
 
 
 def test_time_dependent_control_is_bit_identical():
@@ -143,3 +155,41 @@ def test_time_dependent_control_is_bit_identical():
                                 dt=DT)
     ref_path, _ = reference_rk4(START, control, PARAMS, 1.001, DT)
     assert_same_path(traj, ref_path)
+
+
+def handmade_policy():
+    # Blocks of 5 S-nodes by 2 I-nodes alternate between zero and
+    # nonzero lockdowns, so cells on block edges mix zero and nonzero
+    # corners. Every other zero block is -0.0 throughout, where the
+    # interpolation gives -0.0; the +0.0 blocks carry scattered -0.0
+    # entries, whose cells must be interpolated too.
+    i, j = np.indices((40, 40))
+    block = i // 5 + j // 2
+    L = np.where(block % 2 == 0, 0.0, 0.2 + 0.01 * ((i + j) % 9))
+    L[block % 4 == 0] = -0.0
+    L[(block % 4 == 2) & (i % 7 == 3) & (j % 3 == 1)] = -0.0
+    return PolicyField(GridSpec(n_S=40, n_I=40, n_L=11), L)
+
+
+@pytest.mark.parametrize("start, negative_zero", [
+    (START, False), (EpidemicState(S=0.6, I=0.3, R=0.1), True),
+    (EpidemicState(S=0.9, I=0.1), True)])
+def test_zero_cell_shortcut_is_bit_identical(start, negative_zero):
+    policy = handmade_policy()
+    traj, summary = simulate_optimal(policy, PARAMS, start, HORIZON, DT)
+    ref_path, (gdp, deaths) = reference_rk4(
+        start, reference_policy_control(policy, PARAMS), PARAMS, HORIZON,
+        DT, discounted=True)
+    assert_same_path(traj, ref_path)
+    assert same_bits(summary.gdp_loss, gdp)
+    assert same_bits(summary.death_cost, deaths)
+    assert same_bits(evaluate_policy(policy, PARAMS, start, HORIZON, DT),
+                     gdp + deaths)
+
+    # The path leaves the zero cells and comes back, and it meets the
+    # lockdowns +0.0, -0.0 (where the start reaches a -0.0 block) and
+    # nonzero ones.
+    zero = traj.L == 0.0
+    assert np.count_nonzero(zero[1:] != zero[:-1]) >= 2
+    assert np.any(zero & ~np.signbit(traj.L)) and np.any(traj.L > 0.0)
+    assert np.any(zero & np.signbit(traj.L)) == negative_zero

@@ -4,6 +4,7 @@ Small grids keep the sweep fast; the full-resolution comparative
 statics live in the acceptance tests.
 """
 
+import logging
 import math
 from dataclasses import replace
 
@@ -178,6 +179,24 @@ def test_only_cost_and_solver_failures_become_rows(monkeypatch):
     monkeypatch.setattr(mod, "simulate_optimal", broken)
     with pytest.raises(ValueError, match="injected fault"):
         run_sensitivity(PARAMS, (WelfareCriterion("AU"),), grid=SMALL)
+
+
+def test_sweep_logs_the_scenarios_sharing_each_cost(caplog):
+    caplog.set_level(logging.INFO, logger="epiethics.sensitivity")
+    rep = run_sensitivity(PARAMS, default_criteria(), grid=SMALL,
+                          ladder=(0.0, 20.0, -5.0))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "epiethics.sensitivity"
+             and r.levelno == logging.INFO]
+    # One line per simulated cost, in first-use order; the rejected
+    # ladder cost has no solve to share and only its warning.
+    assert lines == [
+        "cost 20 shared by benchmark, CU, TU, CLU(c=1), fixed:20",
+        "cost 6.66666666667 shared by AU",
+        "cost 18 shared by RDCLU(c=1,rd=0.9)",
+        "cost 0 shared by fixed:0",
+    ]
+    assert not rep.ladder[-1].ok
 
 
 def test_report_rows_expose_scenario_outcomes(report):
