@@ -171,12 +171,16 @@ def main(argv=None) -> int:
             text = ""
         cfg = parse_config(text)
         cfg = _apply_overrides(cfg, args)
+        out = Path(cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         if args.command == "solve":

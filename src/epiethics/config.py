@@ -58,7 +58,7 @@ class RunConfig:
     I0: float = 0.02
     horizon: float = 20.0
     dt: float = 1.0 / 365.0
-    tol: Optional[float] = None        # None: solver default 1e-8 * w
+    tol: Optional[float] = None        # None: planner.resolved_tol default
     max_iters: int = 500
     output_stride: int = 1
     criteria: tuple = field(default_factory=default_criteria)

@@ -224,9 +224,10 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     control(S, I, R, D, t) gives the lockdown as a float. It is called at
     every RK4 stage and once more for the lockdown reported at the final
-    sample; every value must lie in [0, L_bar]. A step that takes a
-    compartment more than 1e-12 outside [0, 1], or to NaN, raises
-    IntegrationError; smaller excursions are clipped.
+    sample; every value must lie in [0, L_bar]. A start state with a
+    compartment more than 1e-12 outside [0, 1], or NaN, raises
+    IntegrationError before the first control call, as does a step that
+    takes one there; smaller excursions of a step are clipped.
 
     Given price, the value of one death, the loop also integrates the two
     discounted flow costs with the same RK4 weights: exp(-(r+nu)t) times
@@ -266,6 +267,12 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     ts_out, path_out, Ls_out = memoryview(ts), memoryview(path), \
         memoryview(Ls)
     lo, hi = -_STATE_ATOL, 1.0 + _STATE_ATOL
+    # The start is checked as every step's end is, before control sees it.
+    if not (lo <= S <= hi and lo <= I <= hi and lo <= R <= hi
+            and lo <= D <= hi):
+        raise IntegrationError(
+            f"start state outside [0, 1] at step 0 (t={t:.6f}): "
+            f"{[S, I, R, D]}")
     priced = price is not None
     if priced:
         rho = params.r + params.nu

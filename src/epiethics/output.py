@@ -23,7 +23,7 @@ from . import __version__
 from .config import RunConfig, serialize_config
 from .epidemic import Trajectory
 from .ethics import AxiomReport, PropertyMatrix, Witness
-from .planner import PolicyField, ScenarioSummary, ValueField
+from .planner import PolicyField, ScenarioSummary, ValueField, resolved_tol
 from .sensitivity import SensitivityReport
 
 __all__ = [
@@ -158,11 +158,18 @@ def config_digest(cfg: RunConfig) -> str:
 
 def write_manifest(path, subcommand: str, cfg: RunConfig,
                    wall_time_s: float):
-    """key=value provenance block; wall_time_s varies between runs."""
+    """key=value provenance block; wall_time_s varies between runs.
+
+    The resolved_* lines state the values in effect behind the keys a
+    config may leave to auto: phi0, kappa and the solver's tol.
+    """
     lines = [
         f"subcommand={subcommand}",
         f"config_sha256={config_digest(cfg)}",
         f"seed={cfg.seed}",
+        f"resolved_phi0={fmt(cfg.params.phi0)}",
+        f"resolved_kappa={fmt(cfg.params.kappa)}",
+        f"resolved_tol={fmt(resolved_tol(cfg.params, cfg.tol))}",
         f"package_version={__version__}",
         f"python_version={platform.python_version()}",
         f"numpy_version={np.__version__}",

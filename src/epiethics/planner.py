@@ -58,8 +58,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -78,6 +81,7 @@ __all__ = [
     "boundary_value_s_zero",
     "evaluate_policy",
     "flow_cost",
+    "resolved_tol",
     "simulate_optimal",
     "solve_stacked",
     "solve_value_function",
@@ -142,7 +146,8 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     floats: no numpy scalar per call and no copy of the field, only of
     the node coordinates.
 
-    S and I must be floats; further arguments are ignored, so a clamp
+    S and I must be floats, not NaN (the fields' at() and _integrate's
+    start check reject it); further arguments are ignored, so a clamp
     to [0, L_bar] serves as _integrate's control(S, I, R, D, t) as is.
 
     A point in a cell whose four corners are all +0.0 gets the clamp of
@@ -182,6 +187,14 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     return at
 
 
+def _point(S, I):
+    # (S, I) as floats for a field's at(); a NaN lies in no grid cell.
+    S, I = float(S), float(I)
+    if math.isnan(S) or math.isnan(I):
+        raise ValueError(f"cannot interpolate at (S, I) = ({S!r}, {I!r})")
+    return S, I
+
+
 @dataclass(frozen=True)
 class ValueField:
     """Planner value V on the grid; V >= 0, V(S, 0) = 0 exactly."""
@@ -201,7 +214,7 @@ class ValueField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return self._interpolate(float(S), float(I))
+        return self._interpolate(*_point(S, I))
 
     @cached_property
     def _interpolate(self):
@@ -231,7 +244,7 @@ class PolicyField:
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
-        return self._interpolate(float(S), float(I))
+        return self._interpolate(*_point(S, I))
 
     @cached_property
     def _interpolate(self):
@@ -362,12 +375,23 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
 @cache
 def _gtsv():
     # LAPACK's tridiagonal solver, the routine solve_banded calls for a
-    # (1, 1) band, called directly to skip scipy's wrapper. scipy.linalg
-    # takes about 0.1 s to import, so it is imported on the first row
-    # solve, not by commands that never solve.
-    from scipy.linalg import get_lapack_funcs
-    (gtsv,) = get_lapack_funcs(("gtsv",), (np.empty(0),))
-    return gtsv
+    # (1, 1) band, called directly to skip scipy's wrapper. It is loaded
+    # on the first row solve from scipy's _flapack extension module
+    # itself: importing scipy.linalg to look it up takes about 0.1 s and
+    # 20 MB, mostly for scipy's array-API layer, against 3 ms for the
+    # extension alone. The module is not registered in sys.modules.
+    # get_lapack_funcs(("gtsv",), (np.empty(0),)) returns this very
+    # object; tests/test_hjb.py pins that.
+    import scipy
+    spec = PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError("cannot find scipy.linalg._flapack",
+                          name="scipy.linalg._flapack")
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
@@ -414,6 +438,11 @@ def _control_set(controls, params: PlannerParams):
     if Ls.size < 1 or Ls[0] < 0.0 or Ls[-1] > params.L_bar:
         raise ValueError("controls must lie within [0, L_bar]")
     return Ls
+
+
+def resolved_tol(params: PlannerParams, tol: float | None = None) -> float:
+    """The row residual tolerance a solve uses: tol, or 1e-8 * w if None."""
+    return 1e-8 * params.w if tol is None else tol
 
 
 def solve_value_function(params: PlannerParams, grid: GridSpec,
@@ -463,8 +492,7 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     policy-iteration steps, summed over rows, and its worst final row
     residual.
     """
-    if tol is None:
-        tol = 1e-8 * params.w
+    tol = resolved_tol(params, tol)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iters < 1:

@@ -56,9 +56,15 @@ def test_solve_writes_fields_and_manifest(tmp_path):
     assert len(manifest["config_sha256"]) == 64
     assert manifest["seed"] == "0"
     assert set(manifest) == {
-        "subcommand", "config_sha256", "seed", "package_version",
+        "subcommand", "config_sha256", "seed", "resolved_phi0",
+        "resolved_kappa", "resolved_tol", "package_version",
         "python_version", "numpy_version", "scipy_version", "wall_time_s",
     }
+    # The auto values behind the defaults: 0.01 * gamma, 0.05 * gamma
+    # and 1e-8 * w.
+    assert manifest["resolved_phi0"] == fmt(0.18)
+    assert manifest["resolved_kappa"] == fmt(0.9)
+    assert manifest["resolved_tol"] == fmt(1e-8)
 
 
 def test_solve_is_byte_identical_across_runs(tmp_path):
@@ -231,6 +237,17 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: cannot read")
 
 
+def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    rc = main(["--config", str(cfg), "--out", str(blocker / "x"), "ethics"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory:")
+    assert str(blocker / "x") in err
+
+
 def test_invalid_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("theta=1.5\n")
@@ -279,11 +296,22 @@ def test_installed_entry_point_runs(tmp_path):
     assert (out / "run_manifest").exists()
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # Importing scipy.linalg takes about 0.1 s; only a solve needs it, so
-    # ethics and simulate --no-control must not pay for it.
-    code = "import sys, epiethics.cli; print('scipy.linalg' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
+    # Importing scipy.linalg takes about 0.1 s and 20 MB. The row solve
+    # loads its one LAPACK routine without it, so neither importing the
+    # CLI nor a command that solves may pay for it.
+    cfg = write_cfg(tmp_path)
+    code = (
+        "import sys\n"
+        "from epiethics.cli import main\n"
+        "loaded = ['scipy.linalg' in sys.modules]\n"
+        "for cmd in ('solve', 'sensitivity'):\n"
+        "    rc = main(['--config', sys.argv[1], '--out', sys.argv[2], cmd])\n"
+        "    assert rc == 0, (cmd, rc)\n"
+        "    loaded.append('scipy.linalg' in sys.modules)\n"
+        "print(loaded)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"

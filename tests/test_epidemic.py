@@ -24,7 +24,8 @@ from epiethics.epidemic import (
     sir_derivatives,
     stability_bound,
 )
-from epiethics.planner import GridSpec, simulate_optimal, solve_value_function
+from epiethics.planner import (GridSpec, PolicyField, simulate_optimal,
+                               solve_value_function)
 
 PARAMS = PlannerParams()
 START = EpidemicState(S=0.98, I=0.02)
@@ -295,12 +296,13 @@ def test_escape_raises_integration_error(monkeypatch):
 @pytest.mark.parametrize("shares", [(math.nan, 0.02, 0.0, 0.0),
                                     (0.98, 0.02, math.nan, 0.0)])
 def test_nan_state_raises_integration_error(shares):
-    # A NaN compartment fails every comparison, so the escape check is
+    # A NaN compartment fails every comparison, so the state checks are
     # written to fail on it instead of passing it through to an
-    # all-NaN summary.
+    # all-NaN summary. The start is checked before a policy is read.
     start = EpidemicState._unchecked(*shares, 0.0)
-    with pytest.raises(IntegrationError, match="step 0"):
-        simulate_optimal(None, PlannerParams(), start, 20.0, 1 / 365)
+    for policy in (None, PolicyField.constant(GridSpec(10, 10, 2), 0.3)):
+        with pytest.raises(IntegrationError, match="step 0"):
+            simulate_optimal(policy, PlannerParams(), start, 20.0, 1 / 365)
 
 
 @pytest.mark.parametrize("bad", [-0.01, PARAMS.L_bar + 0.01])

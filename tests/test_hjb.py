@@ -10,6 +10,9 @@ Independent oracles used here:
     optimal value.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +319,25 @@ def test_row_solve_reports_a_singular_system():
         _row_policy_eval(*args)
 
 
+@pytest.mark.parametrize("first", ["direct", "scipy.linalg"])
+def test_row_solve_uses_the_routine_scipy_looks_up(first):
+    # The row solve loads gtsv from scipy's _flapack extension module
+    # without importing scipy.linalg. scipy.linalg's own lookup must give
+    # the very same routine, whichever of the two loads the module first;
+    # each order gets a fresh process.
+    code = (
+        "import numpy as np\n"
+        "from epiethics.planner import _gtsv\n"
+        + ("_gtsv()\n" if first == "direct" else "") +
+        "from scipy.linalg import get_lapack_funcs\n"
+        "(gtsv,) = get_lapack_funcs(('gtsv',), (np.empty(0),))\n"
+        "print(_gtsv() is gtsv)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 # ---------------------------------------------------------------------------
 # solved-field invariants on the benchmark grid
 # ---------------------------------------------------------------------------
@@ -466,3 +488,15 @@ def test_field_validation():
     # Roundoff-scale negatives are clamped rather than rejected.
     vf = ValueField(grid, np.full((3, 3), -1e-13))
     assert vf.values.min() == 0.0
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0.1), (0.5, np.nan)],
+                         ids=["S-nan", "I-nan"])
+def test_fields_reject_a_nan_point(point):
+    grid = GridSpec(n_S=3, n_I=3, n_L=2)
+    for field in (ValueField(grid, np.ones((3, 3))),
+                  PolicyField.constant(grid, 0.3)):
+        with pytest.raises(ValueError, match=r"interpolate at \(S, I\)"):
+            field.at(*point)
+        # Points outside the unit square are clamped, not rejected.
+        assert field.at(np.inf, -np.inf) == field.at(1.0, 0.0)
