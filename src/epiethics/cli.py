@@ -112,30 +112,28 @@ def _cmd_simulate(cfg: RunConfig, out: Path, no_control: bool):
 
 
 def _axiom_reports(cfg: RunConfig) -> list:
-    # The A1-A8 suite, criterion by criterion. check_axioms judges every
-    # criterion on one draw per axiom. A one-criterion run has nothing to
-    # share and calls check_axiom, its one-criterion case, once per
-    # axiom: perfbench's traced pass times those calls and does not wrap
-    # check_axioms yet.
+    # The A1-A8 suite, one row of reports per criterion. check_axioms
+    # judges every criterion on one draw per axiom. A one-criterion run
+    # has nothing to share and calls check_axiom, its one-criterion case,
+    # once per axiom: perfbench's traced pass times those calls and does
+    # not wrap check_axioms yet.
     kwargs = dict(samples=cfg.samples, seed=cfg.seed, pop_cap=cfg.pop_cap,
                   level_range=cfg.level_range())
     if len(cfg.criteria) == 1:
-        return [check_axiom(cfg.criteria[0], axiom, **kwargs)
-                for axiom in AXIOM_IDS]
+        return [[check_axiom(cfg.criteria[0], axiom, **kwargs)
+                 for axiom in AXIOM_IDS]]
     by_axiom = [check_axioms(cfg.criteria, axiom, **kwargs)
                 for axiom in AXIOM_IDS]
-    return [report for row in zip(*by_axiom) for report in row]
+    return list(zip(*by_axiom))
 
 
 def _cmd_ethics(cfg: RunConfig, out: Path):
-    reports = _axiom_reports(cfg)
-    matrix = property_matrix(cfg.criteria, budget=cfg.samples, seed=cfg.seed,
-                             pop_cap=cfg.pop_cap,
-                             level_range=cfg.level_range())
-    searches = []
+    suite = _axiom_reports(cfg)
+    searches, repugnant = [], []
     for crit in cfg.criteria:
         wit = repugnant_witness(crit, REPUGNANT_BASE, REPUGNANT_EPSILON,
                                 REPUGNANT_N_MAX)
+        repugnant.append(wit)
         searches.append((crit.label, "repugnant-conclusion",
                          "witness-found" if wit else
                          f"none-found-up-to-{REPUGNANT_N_MAX}", wit))
@@ -143,6 +141,13 @@ def _cmd_ethics(cfg: RunConfig, out: Path):
         searches.append((crit.label, "very-sadistic-conclusion",
                          "witness-found" if sad else
                          f"none-found-up-to-{SADISTIC_N_MAX}", sad))
+    # The matrix reuses the suite's A4, A5 and A8 reports and the
+    # repugnant-conclusion searches instead of judging them again.
+    matrix = property_matrix(cfg.criteria, suite, repugnant,
+                             budget=cfg.samples, seed=cfg.seed,
+                             pop_cap=cfg.pop_cap,
+                             level_range=cfg.level_range())
+    reports = [report for row in suite for report in row]
     write_ethics_csv(out / "ethics.csv", reports, matrix, searches)
     write_ethics_text(out / "ethics.txt", reports, matrix, searches)
 

@@ -20,7 +20,9 @@ not proofs. Except for A6 and A7, whose draws depend on earlier results
 and so on the criterion, a checker first draws all of its cases once for
 every criterion it is given, then evaluates each criterion on them in
 one vectorised batch per population size; each criterion's first
-failing case in draw order becomes its witness.
+failing case in draw order becomes its witness. A6 batches each
+candidate critical level's cases the same way, for one criterion, and
+replays the generator to its first failing case.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "compare",
     "criterion_value",
     "default_criteria",
+    "label_number",
     "property_matrix",
     "replay_witness",
     "repugnant_witness",
@@ -144,6 +147,16 @@ IDENTITY = UtilityTransform()
 _KINDS = ("CU", "TU", "CLU", "AU", "RDCLU")
 
 
+def label_number(x: float) -> str:
+    """The shortest text that reads back as x, without a trailing ".0".
+
+    Distinct numbers get distinct text, so distinct criteria and sweep
+    rows get distinct labels ("g" format rounds to six digits).
+    """
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class WelfareCriterion:
     """One of the five supported social welfare orders."""
@@ -172,9 +185,9 @@ class WelfareCriterion:
     def label(self) -> str:
         bits = []
         if self.kind in ("CLU", "RDCLU"):
-            bits.append(f"c={self.c:g}")
+            bits.append(f"c={label_number(self.c)}")
         if self.kind == "RDCLU":
-            bits.append(f"rd={self.rank_discount:g}")
+            bits.append(f"rd={label_number(self.rank_discount)}")
         if self.u.kind != "identity":
             bits.append(f"u={self.u.spec()}")
         return self.kind + ("(" + ",".join(bits) + ")" if bits else "")
@@ -525,15 +538,19 @@ def _check_same_number(criteria, rng, samples, lo, hi, pop_cap):
     return _judged(cases, criteria, judge)
 
 
-# A6 and A7 search case by case, and which cases they draw depends on
-# the criterion's earlier answers, so each criterion gets its own
-# generator. Each returns (verdict, witness, notes) for one criterion.
+# Which cases A6 and A7 draw depends on the criterion's earlier
+# answers, so each criterion gets its own generator. Each returns
+# (verdict, witness, notes) for one criterion.
 
 
 def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
     # Existential: some c >= 0 such that appending a person at c to any
     # sampled allocation whose levels are all <= c leaves the order
-    # indifferent.
+    # indifferent. Each candidate level draws all of its samples and
+    # judges them in one batch. A candidate that fails stops, case by
+    # case, at its first failing sample, so the generator is rewound and
+    # only the samples up to that one are drawn again: the next candidate
+    # then sees exactly the draws a case-by-case search would give it.
     candidates = []
     if crit.kind in ("CLU", "RDCLU"):
         candidates.append(crit.c)
@@ -543,18 +560,17 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
         if c < 0.0 or c in seen or c < lo:
             continue
         seen.add(c)
-        tested = 0
-        ok = True
-        for _ in range(samples):
-            n = int(rng.integers(1, pop_cap + 1))
-            x = Allocation(tuple(rng.uniform(lo, min(c, hi), n)))
-            tested += 1
-            if compare(x.append(c), x, crit) is not Ordering.Indifferent:
-                ok = False
-                break
-        if ok and tested >= min(10, samples):
+        top = min(c, hi)
+        state = rng.bit_generator.state
+        xs = [_rand_levels(rng, pop_cap, lo, top) for _ in range(samples)]
+        v = _Cases([([*x.tolist(), c], x) for x in xs]).values(crit)
+        i = _first(_orders(v[:, 0], v[:, 1]) != 0)
+        if i is None:
             return "pass", Witness("critical-level", {"c": c}), \
                 f"constructed critical level c={c:g}"
+        rng.bit_generator.state = state
+        for _ in range(i + 1):
+            _rand_levels(rng, pop_cap, lo, top)
     return "not-found-within-budget", None, ""
 
 
@@ -638,9 +654,13 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     come from one batch per population size, and each criterion reports
     its own first failing case in draw order, the case a case-by-case
     loop would stop at. A6 and A7 are existential constructions whose
-    draws depend on the criterion; each criterion is searched case by
-    case with its own generator seeded by seed, and may report
-    "not-found-within-budget", which is weaker than "fail".
+    draws depend on the criterion; each criterion is searched with its
+    own generator seeded by seed, and may report
+    "not-found-within-budget", which is weaker than "fail". A6 judges
+    all samples of a candidate critical level in one batch, then rewinds
+    the generator to just past the first failing sample, so each
+    candidate sees the draws a case-by-case search would give it. A7
+    searches case by case.
     """
     if axiom not in AXIOM_IDS:
         raise ValueError(f"unknown axiom id {axiom!r}")
@@ -879,19 +899,26 @@ class PropertyMatrix:
         return "\n".join(lines)
 
 
-def property_matrix(criteria, budget: int = 500, seed: int = 0,
-                    pop_cap: int = 8, level_range=(-10.0, 10.0),
-                    n_max: int = 2000) -> PropertyMatrix:
+def property_matrix(criteria, reports, repugnant, budget: int = 500,
+                    seed: int = 0, pop_cap: int = 8,
+                    level_range=(-10.0, 10.0)) -> PropertyMatrix:
     """Build the criteria-by-properties verdict matrix.
 
-    Each machine-checkable cell gets `budget` samples. Repugnance
-    avoidance searches clone populations up to n_max against the base
-    (100) with epsilon 0.1. Utility independence and priority for lives
-    worth living are reported but not machine-checked.
+    reports[i] holds the axiom suite's AxiomReports for criteria[i], A4,
+    A5 and A8 among them, and repugnant[i] is the Witness (or None) of
+    its repugnant-conclusion search. Both are matched to the criteria by
+    position, since distinct criteria may print alike. The A4, A5 and A8
+    cells take the suite's verdicts and witnesses, and a repugnant
+    witness fails repugnance avoidance, so no property is judged twice.
+    Negative expansion is checked here with `budget` samples, from a
+    generator seeded by seed + 1000*i for criteria[i]. Utility
+    independence and priority for lives worth living are reported but
+    not machine-checked.
     """
     lo, hi = float(level_range[0]), float(level_range[1])
     cells = []
-    for ci, crit in enumerate(criteria):
+    for ci, (crit, suite, wit) in enumerate(zip(criteria, reports, repugnant,
+                                               strict=True)):
         ref = _REFERENCE_CLASSIFICATION.get(crit.kind)
 
         def mark(prop):
@@ -907,17 +934,14 @@ def property_matrix(criteria, budget: int = 500, seed: int = 0,
                                                      hi, pop_cap)
         cells.append(MatrixCell(crit.label, "negative-expansion", verdict,
                                 witness, mark("negative-expansion")))
-
-        wit = repugnant_witness(crit, Allocation.of(100.0), 0.1, n_max)
         cells.append(MatrixCell(
             crit.label, "repugnance-avoidance",
             "pass" if wit is None else "fail", wit,
             mark("repugnance-avoidance")))
 
+        by_axiom = {rep.axiom: rep for rep in suite}
         for axiom in ("A4", "A5", "A8"):
-            rep = check_axiom(crit, axiom, samples=budget,
-                              seed=seed + 1000 * ci + int(axiom[1]),
-                              pop_cap=pop_cap, level_range=(lo, hi))
+            rep = by_axiom[axiom]
             cells.append(MatrixCell(crit.label, axiom, rep.verdict,
                                     rep.witness, mark(axiom)))
 

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams
-from .ethics import Allocation, WelfareCriterion, criterion_value
+from .ethics import (Allocation, WelfareCriterion, criterion_value,
+                     label_number)
 # solve_value_function is not called here: perfbench/spans.py swaps this
 # module's binding of it for a traced wrapper, so the name stays bound.
 from .planner import (GridSpec, PolicyField, simulate_optimal,  # noqa: F401
@@ -177,7 +178,8 @@ def run_sensitivity(params: PlannerParams, criteria,
     n_criteria = len(scenarios)
     for cost in ladder:
         cost = float(cost)
-        scenarios.append((f"fixed:{cost:g}", cost, _priced(params, cost)))
+        scenarios.append((f"fixed:{label_number(cost)}", cost,
+                          _priced(params, cost)))
 
     costs = list(dict.fromkeys(
         [params.cost_per_death]

@@ -155,6 +155,49 @@ def test_ethics_outputs_suite_matrix_and_searches(tmp_path):
     assert "# conclusion witness searches" in text
 
 
+def test_ethics_judges_each_property_once(tmp_path, monkeypatch):
+    # The property matrix reuses the suite's A4, A5 and A8 reports and
+    # the repugnant-conclusion searches: one check_axioms call per axiom
+    # and one search per criterion, wherever they are called from.
+    import epiethics.cli as cli
+    import epiethics.ethics as ethics
+
+    calls = {"check_axioms": 0, "repugnant_witness": 0}
+    written = {}
+
+    def counted(name):
+        real = getattr(ethics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(ethics, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    real_write = cli.write_ethics_csv
+
+    def capture(path, reports, matrix, searches):
+        written.update(reports=reports, matrix=matrix)
+        real_write(path, reports, matrix, searches)
+
+    monkeypatch.setattr(cli, "write_ethics_csv", capture)
+    root = Path(__file__).resolve().parents[1]
+    assert main(["--config", str(root / "configs" / "benchmark.cfg"),
+                 "--out", str(tmp_path / "out"), "ethics"]) == 0
+    assert calls == {"check_axioms": 8, "repugnant_witness": 5}
+    props = ("A4", "A5", "A8")
+    cells = [(c.criterion, c.prop, c.verdict, c.witness.describe()
+              if c.witness else None)
+             for c in written["matrix"].cells if c.prop in props]
+    suite = [(r.criterion, r.axiom, r.verdict, r.witness.describe()
+              if r.witness else None)
+             for r in written["reports"] if r.axiom in props]
+    assert len(cells) == 15 and cells == suite
+
+
 def test_ethics_single_criterion_flag(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

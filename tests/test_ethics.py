@@ -16,6 +16,7 @@ from epiethics.ethics import (
     UtilityTransform,
     WelfareCriterion,
     check_axiom,
+    check_axioms,
     compare,
     criterion_value,
     default_criteria,
@@ -89,6 +90,21 @@ def test_criterion_validation():
         WelfareCriterion("CLU", c=-0.5)
     with pytest.raises(ValueError):
         WelfareCriterion("TU", c=2.0)   # TU pins the critical level at 0
+
+
+def test_distinct_criteria_get_distinct_labels():
+    # Labels name every field in full, so distinct criteria (and their
+    # ethics.csv and sensitivity.csv rows) cannot share one.
+    near = (WelfareCriterion("CLU", c=1.0000001),
+            WelfareCriterion("CLU", c=1.0000002))
+    assert [c.label for c in near] == ["CLU(c=1.0000001)",
+                                       "CLU(c=1.0000002)"]
+    assert WelfareCriterion("RDCLU", c=1234567.0,
+                            rank_discount=0.123456789).label \
+        == "RDCLU(c=1234567,rd=0.123456789)"
+    # The shipped labels are unchanged.
+    assert [c.label for c in default_criteria()] == [
+        "CU", "TU", "CLU(c=1)", "AU", "RDCLU(c=1,rd=0.9)"]
 
 
 def test_utility_transforms():
@@ -313,7 +329,14 @@ def test_very_sadistic_witness_absent_for_sign_respecting_criteria():
 
 @pytest.fixture(scope="module")
 def matrix():
-    return property_matrix(default_criteria(), budget=300, seed=0)
+    # The matrix takes the suite's A4, A5 and A8 reports and the
+    # repugnant-conclusion searches, as the ethics command passes them.
+    criteria = default_criteria()
+    suite = list(zip(*(check_axioms(criteria, axiom, samples=300, seed=0)
+                       for axiom in ("A4", "A5", "A8"))))
+    repugnant = [repugnant_witness(crit, Allocation.of(100.0), 0.1, 100_000)
+                 for crit in criteria]
+    return property_matrix(criteria, suite, repugnant, budget=300, seed=0)
 
 
 def cell(matrix, criterion_label, prop):

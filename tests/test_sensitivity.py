@@ -92,6 +92,13 @@ def test_report_rows_follow_input_order(report):
         "fixed:0", "fixed:10", "fixed:20", "fixed:40"]
 
 
+def test_distinct_ladder_costs_get_distinct_labels():
+    rep = run_sensitivity(PARAMS, (), grid=SMALL,
+                          ladder=(1.0000001, 1.0000002, 2.5))
+    assert [row.label for row in rep.ladder] == [
+        "fixed:1.0000001", "fixed:1.0000002", "fixed:2.5"]
+
+
 def test_flat_cost_criteria_reproduce_the_baseline(report):
     # CU prices a death exactly like the benchmark config, so its row is
     # the same solve: every reported number must coincide bitwise.
