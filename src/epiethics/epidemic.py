@@ -63,7 +63,9 @@ class PlannerParams:
     tests. beta_contact, gamma and L_bar are modelling choices of this
     package, not values taken from any particular calibration source;
     phi0 and kappa are pinned to gamma so that 1% of exits die at I = 0
-    and 3% die when 40% of the population is infected.
+    and 3% die when 40% of the population is infected. The derived
+    discount_rate (r + nu) and death_price (cost_per_death + chi) are
+    properties, so the config schema, equality and replace() skip them.
     """
 
     beta_contact: float = 36.0   # infectious contacts per infected per year
@@ -103,6 +105,16 @@ class PlannerParams:
         _require(self.cost_per_death >= 0.0,
                  "cost_per_death must be non-negative", "cost_per_death")
         _require(self.chi >= 0.0, "chi must be non-negative", "chi")
+
+    @property
+    def discount_rate(self) -> float:
+        """Effective discount r + nu: time preference plus cure hazard."""
+        return self.r + self.nu
+
+    @property
+    def death_price(self) -> float:
+        """Value of one death in output units: cost_per_death + chi."""
+        return self.cost_per_death + self.chi
 
 
 @dataclass(frozen=True)
@@ -171,8 +183,13 @@ def fatality_rate(I, params: PlannerParams):
     arr = np.asarray(I, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("infected share outside [0, 1]")
-    out = params.phi0 + params.kappa * arr
+    out = _fatality(arr, params)
     return float(out) if out.ndim == 0 else out
+
+
+def _fatality(I, params: PlannerParams):
+    # phi(I) = phi0 + kappa*I, unchecked, for floats or arrays.
+    return params.phi0 + params.kappa * I
 
 
 def basic_reproduction_number(params: PlannerParams) -> float:
@@ -206,7 +223,7 @@ def _rhs(y, L, params: PlannerParams):
     S, I = y[0], y[1]
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I
-    dD = (params.phi0 + params.kappa * I) * I
+    dD = _fatality(I, params) * I
     return (-flow, flow - exits, exits - dD, dD)
 
 
@@ -275,7 +292,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
             f"{[S, I, R, D]}")
     priced = price is not None
     if priced:
-        rho = params.r + params.nu
+        rho = params.discount_rate
         exp = math.exp
         disc = exp(-rho * t)
         gdp_loss = death_cost = 0.0

@@ -207,22 +207,20 @@ def default_criteria() -> tuple:
 def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
     """Welfare of each row of a (k, n) array of levels sorted ascending.
 
-    Aggregating sorted rows makes a value exactly invariant under
-    permutations of its row.
+    Every kind sums the critical-level gains u(x) - u(c) (Blackorby,
+    Bossert & Donaldson 2005), with c = 0 outside CLU and RDCLU and
+    u(0) = 0, so CU, TU and CLU differ only in c. RDCLU weights the
+    gains by rank and AU averages them. Aggregating sorted rows makes a
+    value exactly invariant under permutations of its row.
     """
     n = levels.shape[1]
-    u = crit.u(levels)
-    if crit.kind == "CU":
-        return np.sum(u, axis=1)
-    if crit.kind in ("TU", "CLU"):
-        uc = float(crit.u(crit.c if crit.kind == "CLU" else 0.0))
-        return np.sum(u - uc, axis=1)
-    if crit.kind == "AU":
-        return np.sum(u, axis=1) / n
-    # RDCLU: ascending rank r = 1..n gets weight rank_discount**r
-    uc = float(crit.u(crit.c))
-    weights = crit.rank_discount ** np.arange(1, n + 1, dtype=float)
-    return np.sum(weights * (u - uc), axis=1)
+    gains = crit.u(levels) - float(crit.u(crit.c))
+    if crit.kind == "RDCLU":
+        # ascending rank r = 1..n gets weight rank_discount**r
+        ranks = np.arange(1, n + 1, dtype=float)
+        gains = crit.rank_discount ** ranks * gains
+    total = np.sum(gains, axis=1)
+    return total / n if crit.kind == "AU" else total
 
 
 class _Cases:
@@ -271,21 +269,19 @@ def _uniform_value(level: float, n, crit: WelfareCriterion):
     """criterion_value of n copies of one level, in closed form.
 
     n may be an integer array; used by the witness searches so that
-    population sizes up to 1e5 stay cheap.
+    population sizes up to 1e5 stay cheap. n equal gains u(level) - u(c)
+    sum to n times the gain, average to the gain under AU, and under
+    RDCLU sum with the geometric rank weights.
     """
     n = np.asarray(n, dtype=float)
-    uv = float(crit.u(level))
-    if crit.kind == "CU":
-        out = n * uv
-    elif crit.kind in ("TU", "CLU"):
-        uc = float(crit.u(crit.c if crit.kind == "CLU" else 0.0))
-        out = n * (uv - uc)
-    elif crit.kind == "AU":
-        out = np.full_like(n, uv)
-    else:
+    gain = float(crit.u(level)) - float(crit.u(crit.c))
+    if crit.kind == "AU":
+        out = np.full_like(n, gain)
+    elif crit.kind == "RDCLU":
         b = crit.rank_discount
-        uc = float(crit.u(crit.c))
-        out = (uv - uc) * b * (1.0 - b ** n) / (1.0 - b)
+        out = gain * b * (1.0 - b ** n) / (1.0 - b)
+    else:
+        out = n * gain
     return float(out) if out.ndim == 0 else out
 
 
@@ -567,7 +563,7 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
         i = _first(_orders(v[:, 0], v[:, 1]) != 0)
         if i is None:
             return "pass", Witness("critical-level", {"c": c}), \
-                f"constructed critical level c={c:g}"
+                f"constructed critical level c={label_number(c)}"
         rng.bit_generator.state = state
         for _ in range(i + 1):
             _rand_levels(rng, pop_cap, lo, top)
@@ -883,11 +879,6 @@ class PropertyMatrix:
     """
 
     cells: tuple
-
-    def rows(self):
-        return [(c.criterion, c.prop, c.verdict,
-                 c.witness.describe() if c.witness else "")
-                for c in self.cells]
 
     def to_text(self) -> str:
         lines = [f"{'criterion':22} {'property':28} {'computed':26} "

@@ -67,7 +67,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, Trajectory, \
-    basic_reproduction_number, _check_lockdown, _integrate, \
+    basic_reproduction_number, _check_lockdown, _fatality, _integrate, \
     _lockdown_loss, _require
 
 __all__ = [
@@ -195,22 +195,18 @@ def _point(S, I):
     return S, I
 
 
-@dataclass(frozen=True)
-class ValueField:
-    """Planner value V on the grid; V >= 0, V(S, 0) = 0 exactly."""
+class _GridField:
+    # A finite array on the grid's nodes, read at a point by clamped
+    # bilinear interpolation. A subclass names its array field and what
+    # its entries are, and checks their range itself.
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def _checked(self) -> np.ndarray:
+        v = np.asarray(getattr(self, self._array), dtype=float)
         if v.shape != (self.grid.n_S, self.grid.n_I):
-            raise ValueError("values shape does not match grid")
+            raise ValueError(f"{self._array} shape does not match grid")
         if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite value entries")
-        if v.min() < -1e-12:
-            raise ValueError(f"negative value entry {v.min()!r}")
-        object.__setattr__(self, "values", np.maximum(v, 0.0))
+            raise ValueError(f"non-finite {self._entries} entries")
+        return v
 
     def at(self, S: float, I: float) -> float:
         """Bilinear interpolation, clamped to the unit square."""
@@ -218,22 +214,34 @@ class ValueField:
 
     @cached_property
     def _interpolate(self):
-        return _bilinear(self.grid, self.values)
+        return _bilinear(self.grid, getattr(self, self._array))
 
 
 @dataclass(frozen=True)
-class PolicyField:
+class ValueField(_GridField):
+    """Planner value V on the grid; V >= 0, V(S, 0) = 0 exactly."""
+
+    grid: GridSpec
+    values: np.ndarray
+    _array, _entries = "values", "value"
+
+    def __post_init__(self):
+        v = self._checked()
+        if v.min() < -1e-12:
+            raise ValueError(f"negative value entry {v.min()!r}")
+        object.__setattr__(self, "values", np.maximum(v, 0.0))
+
+
+@dataclass(frozen=True)
+class PolicyField(_GridField):
     """Optimal lockdown L on the grid; every entry in [0, L_bar]."""
 
     grid: GridSpec
     lockdown: np.ndarray
+    _array, _entries = "lockdown", "policy"
 
     def __post_init__(self):
-        v = np.asarray(self.lockdown, dtype=float)
-        if v.shape != (self.grid.n_S, self.grid.n_I):
-            raise ValueError("lockdown shape does not match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite policy entries")
+        v = self._checked()
         if v.min() < 0.0 or v.max() > 1.0:
             raise ValueError("policy entries outside [0, 1]")
         object.__setattr__(self, "lockdown", v)
@@ -241,14 +249,6 @@ class PolicyField:
     @classmethod
     def constant(cls, grid: GridSpec, L: float) -> "PolicyField":
         return cls(grid, np.full((grid.n_S, grid.n_I), float(L)))
-
-    def at(self, S: float, I: float) -> float:
-        """Bilinear interpolation, clamped to the unit square."""
-        return self._interpolate(*_point(S, I))
-
-    @cached_property
-    def _interpolate(self):
-        return _bilinear(self.grid, self.lockdown)
 
 
 def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
@@ -267,11 +267,11 @@ def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
 def _flow_cost_terms(S, I, L, params: PlannerParams, price=None):
     # The two terms of the flow cost, lockdown output loss and death
     # cost, for floats or broadcastable arrays. price, the value of one
-    # death, defaults to cost_per_death + chi; the stacked solve passes
+    # death, defaults to params.death_price; the stacked solve passes
     # one per scenario, shaped to broadcast over its leading axis.
     if price is None:
-        price = params.cost_per_death + params.chi
-    deaths = (params.phi0 + params.kappa * I) * I * price
+        price = params.death_price
+    deaths = _fatality(I, params) * I * price
     return _lockdown_loss(S, I, L, params), deaths
 
 
@@ -284,8 +284,8 @@ def boundary_value_s_zero(I, params: PlannerParams):
     arr = np.asarray(I, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("infected share outside [0, 1]")
-    rho = params.r + params.nu
-    out = (params.cost_per_death + params.chi) * (
+    rho = params.discount_rate
+    out = params.death_price * (
         params.phi0 * arr / (rho + params.gamma)
         + params.kappa * arr ** 2 / (rho + 2.0 * params.gamma))
     return float(out) if out.ndim == 0 else out
@@ -314,7 +314,7 @@ def _row_candidates(S, I, DS, DIp, DIm, params: PlannerParams):
     # sorted, so that an argmin over them breaks ties toward the smaller L.
     theta = params.theta
     L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
-    a = params.w * (params.tau * (S + I) + (1 - params.tau))
+    a = _lockdown_loss(S, I, 1.0, params)
     scale = 2.0 * params.beta_contact * S * I * theta
     cand = np.empty(DS.shape + (5,))
     cand[..., 0] = 0.0
@@ -440,6 +440,13 @@ def _control_set(controls, params: PlannerParams):
     return Ls
 
 
+def _mesh(grid: GridSpec):
+    # The solver's nodes and their spacings: (s_nodes, i_nodes, hS, hI).
+    sN = grid.s_nodes()
+    iN = grid.i_nodes()
+    return sN, iN, sN[1] - sN[0], iN[1] - iN[0]
+
+
 def resolved_tol(params: PlannerParams, tol: float | None = None) -> float:
     """The row residual tolerance a solve uses: tol, or 1e-8 * w if None."""
     return 1e-8 * params.w if tol is None else tol
@@ -485,8 +492,9 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     block-diagonal tridiagonal solve. A cost is frozen at the step where
     its row residual drops below tol, so it runs exactly the steps of its
     own solve. Each cost's rows start from an extrapolation of its own
-    rows below (see solve_value_function); the rows of a failed cost are
-    dropped from that history with the rest of its arrays. A ValueError
+    rows below (see solve_value_function). A failed cost's rows are
+    zeroed and take no further steps, so every array keeps one row per
+    cost for the whole march, indexed by cost. A ValueError
     (an invalid cost, tol, max_iters or control set) is raised for the
     whole call. Each cost's "solve finished" INFO line gives its
     policy-iteration steps, summed over rows, and its worst final row
@@ -504,15 +512,11 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                 "exact control" if Ls is None else f"{Ls.size} controls",
                 basic_reproduction_number(params))
 
-    sN = grid.s_nodes()
-    iN = grid.i_nodes()
-    hS = sN[1] - sN[0]
-    hI = iN[1] - iN[0]
-    rho = params.r + params.nu
+    sN, iN, hS, hI = _mesh(grid)
+    rho = params.discount_rate
     I_act = iN[1:]
     # The value of one death per cost, broadcast over nodes and controls.
-    price = np.array([p.cost_per_death + p.chi
-                      for p in priced])[:, None, None]
+    price = np.array([p.death_price for p in priced])[:, None, None]
 
     # One value and one policy array per cost, written row by row; a
     # failed cost's arrays are dropped.
@@ -521,7 +525,6 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     for V, p in zip(Vs, priced):
         V[0, :] = boundary_value_s_zero(iN, p)
     failures = [None] * len(priced)
-    live = np.arange(len(priced))     # the costs that have not failed
     # Policy-iteration steps summed over rows, and the worst final row
     # residual, per cost: reported in its "solve finished" line.
     steps = np.zeros(len(priced), dtype=int)
@@ -532,11 +535,12 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     for i in range(1, grid.n_S):
         S = sN[i]
         v = _warm_start(v_prev, *older)
-        L_row = np.zeros((live.size, grid.n_I - 1))
-        todo = np.arange(live.size)   # rows of v not yet converged
+        L_row = np.zeros((len(priced), grid.n_I - 1))
+        # The costs not yet converged on this row; a failed one never is.
+        todo = np.flatnonzero([f is None for f in failures])
         for _ in range(max_iters):
-            # Basic slices while every live cost is still iterating.
-            every = todo.size == live.size
+            # Basic slices while every cost is still iterating.
+            every = todo.size == len(priced)
             v_t = v if every else v[todo]
             prev_t = v_prev if every else v_prev[todo]
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
@@ -545,8 +549,8 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
             residual = np.abs(rho * v_t[:, 1:] - Hk).max(axis=-1)
             if any(r < tol for r in residual.tolist()):
                 done = residual < tol
-                L_row[todo[done]] = Lk[done]
-                ended = live[todo[done]]
+                ended = todo[done]
+                L_row[ended] = Lk[done]
                 worst[ended] = np.maximum(worst[ended], residual[done])
                 busy = ~done
                 todo = todo[busy]
@@ -557,36 +561,32 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                     residual[busy])
             v_new = _row_policy_eval(rho, flow_k, fI_k, cost_k, prev_t,
                                      hS, hI)
-            steps[live[todo]] += 1
+            steps[todo] += 1
             if not np.isfinite(v_new).all():
-                ok = _isolate(v_new, failures, i, live[todo], rho, flow_k,
-                              fI_k, cost_k, prev_t, hS, hI)
+                ok = _isolate(v_new, failures, i, todo, rho, flow_k, fI_k,
+                              cost_k, prev_t, hS, hI)
                 todo, v_new, residual = todo[ok], v_new[ok], residual[ok]
                 if not todo.size:
                     break
-            if todo.size == live.size:
+            if todo.size == len(priced):
                 v[:, 1:] = v_new
             else:
                 v[todo, 1:] = v_new
         else:
-            for k, res in zip(live[todo].tolist(), residual.tolist()):
+            for k, res in zip(todo.tolist(), residual.tolist()):
                 failures[k] = SolverConvergenceError(
                     f"row {i} did not converge in {max_iters} iterations "
                     f"(last residual {res:.3e})", residual=res, row=i)
-        alive = [failures[k] is None for k in live.tolist()]
-        for row, k in enumerate(live.tolist()):
-            if alive[row]:
-                Vs[k][i] = v[row]
-                L_fields[k][i, 1:] = L_row[row]
+        for k, failure in enumerate(failures):
+            if failure is None:
+                Vs[k][i] = v[k]
+                L_fields[k][i, 1:] = L_row[k]
             else:
                 Vs[k] = L_fields[k] = None
-        below = (v_prev, *older)
-        if not all(alive):
-            live, v, price = live[alive], v[alive], price[alive]
-            below = tuple(row[alive] for row in below)
-            if not live.size:
-                break
-        v_prev, older = v, below[:2]
+                v[k] = 0.0
+        if None not in failures:
+            break
+        v_prev, older = v, (v_prev, *older)[:2]
 
     out = []
     for k in range(len(priced)):
@@ -652,11 +652,8 @@ def bellman_residual(value_field: ValueField, params: PlannerParams,
     grid = value_field.grid
     V = value_field.values
     Ls = _control_set(controls, params)
-    sN = grid.s_nodes()
-    iN = grid.i_nodes()
-    hS = sN[1] - sN[0]
-    hI = iN[1] - iN[0]
-    rho = params.r + params.nu
+    sN, iN, hS, hI = _mesh(grid)
+    rho = params.discount_rate
     I_act = iN[1:]
     worst = 0.0
     for i in range(1, grid.n_S):
@@ -694,21 +691,14 @@ def _policy_controller(policy: PolicyField | None, params: PlannerParams):
     the integrator's range check; None gives no lockdown. It depends on
     S and I only. A state in a cell whose four corners are +0.0 gets
     L = 0.0 without interpolating, which is exact (see _bilinear); 98.75%
-    of the stage controls of the benchmark cost-20 loop do. Its arithmetic is otherwise that of the interpolation
-    on numpy scalars, operation for operation, so simulations equal the
-    array reference in tests/test_rk4_reference.py bit for bit.
+    of the stage controls of the benchmark cost-20 loop do. Its
+    arithmetic is otherwise that of the interpolation on numpy scalars,
+    operation for operation, so simulations equal the array reference in
+    tests/test_rk4_reference.py bit for bit.
     """
     if policy is None:
         return lambda S, I, R, D, t: 0.0
     return _bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
-
-
-def _require_long_horizon(params: PlannerParams, horizon: float):
-    rho = params.r + params.nu
-    if math.exp(-rho * horizon) >= 1e-6:
-        raise ValueError(
-            f"horizon {horizon!r} too short: need exp(-(r+nu)*T) < 1e-6, "
-            f"i.e. T > {math.log(1e6) / rho:.2f}")
 
 
 def evaluate_policy(policy: PolicyField, params: PlannerParams,
@@ -716,16 +706,16 @@ def evaluate_policy(policy: PolicyField, params: PlannerParams,
                     dt: float) -> float:
     """Discounted cost of following a fixed policy from state0.
 
-    Simulates the closed loop with the shared RK4 integrator, which
+    The value of simulate_optimal's closed loop, whose RK4 integrator
     accumulates exp(-(r+nu)t) * flow_cost alongside the state. The
     horizon must be long enough that the discount tail is below 1e-6.
     """
-    _require_long_horizon(params, horizon)
-    control = _policy_controller(policy, params)
-    _, (gdp_loss, death_cost) = _integrate(
-        state0, control, params, horizon, dt,
-        price=params.cost_per_death + params.chi)
-    return float(gdp_loss + death_cost)
+    rho = params.discount_rate
+    if math.exp(-rho * horizon) >= 1e-6:
+        raise ValueError(
+            f"horizon {horizon!r} too short: need exp(-(r+nu)*T) < 1e-6, "
+            f"i.e. T > {math.log(1e6) / rho:.2f}")
+    return simulate_optimal(policy, params, state0, horizon, dt)[1].value
 
 
 def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
@@ -740,8 +730,7 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
     """
     control = _policy_controller(policy, params)
     traj, (gdp_loss, death_cost) = _integrate(
-        state0, control, params, horizon, dt,
-        price=params.cost_per_death + params.chi)
+        state0, control, params, horizon, dt, price=params.death_price)
     locked = traj.L > LOCKDOWN_THRESHOLD
     step = np.diff(traj.t)
     lock_years = float(np.sum(step[locked[:-1]]))

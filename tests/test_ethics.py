@@ -229,6 +229,15 @@ def test_critical_level_axiom_verdicts():
             == "not-found-within-budget")
 
 
+def test_critical_level_notes_print_the_level_exactly():
+    # "g" format would round the level to six digits and print c=1.
+    crit = WelfareCriterion("CLU", c=1.0000001)
+    rep = check_axiom(crit, "A6", samples=50, seed=6)
+    assert rep.verdict == "pass"
+    assert rep.notes == "constructed critical level c=1.0000001"
+    assert rep.criterion == "CLU(c=1.0000001)"
+
+
 def test_egalitarian_equivalence_constructions():
     for crit in ALL:
         rep = check_axiom(crit, "A7", samples=100, seed=7)
