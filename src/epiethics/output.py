@@ -1,10 +1,12 @@
 """File emission: CSV and flat key=value text artifacts.
 
-All numeric CSV cells are printed in decimal notation with nine
-significant digits via numpy's positional formatter, and every file is
-written with plain "\\n" line endings so repeated runs are
-byte-identical (the run manifest's wall_time_s line is the one
-documented exception).
+All numeric CSV cells are printed by fmt: decimal notation with at
+most nine significant digits, via numpy's positional formatter, where a
+value below 1 in magnitude is padded to 8 decimals. The field and
+trajectory CSVs, the large ones, print whole chunks of rows at once with
+fmt_many, which gives fmt's strings. Every file is written with plain
+"\\n" line endings so repeated runs are byte-identical (the run
+manifest's wall_time_s line is the one documented exception).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .sensitivity import SensitivityReport
 __all__ = [
     "config_digest",
     "fmt",
+    "fmt_many",
     "write_ethics_csv",
     "write_ethics_text",
     "write_fields_csv",
@@ -41,12 +44,115 @@ __all__ = [
 
 
 def fmt(x) -> str:
-    """Decimal notation, nine significant digits, never exponential."""
+    """Decimal notation, never exponential, via numpy's Dragon4.
+
+    At most nine significant digits. A value below 1 in magnitude is
+    padded with zeros to at least 8 decimals (0.7 -> 0.70000000,
+    0.02 -> 0.0200000000); trailing zeros left by rounding up to nine
+    digits are dropped down to that padding (1e-12 -> 0.000000000001).
+    """
     x = float(x)
     if not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return np.format_float_positional(x, precision=9, unique=False,
                                       fractional=False)
+
+
+# Powers of ten, exact or correctly rounded, for scaling |x| to 9 digits.
+_POW10 = np.array([float(10 ** k) for k in range(300)])
+# A value whose scaled digits y lie this close to a rounding tie, or to
+# a whole number ending in 0, goes through fmt: the scaling's rounding
+# error, a few 1e-7, could move y across.
+_MARGIN = 1e-6
+
+
+def _spec_table(sep: str) -> np.ndarray:
+    # Index d >= 0: "%.{d}f"; index -1: "%s", for a string made by fmt.
+    return np.array([f"%.{d}f{sep}" for d in range(len(_POW10))]
+                    + [f"%s{sep}"], dtype=object)
+
+
+_COMMA_SPECS = _spec_table(",")
+_LINE_SPECS = _spec_table("\n")
+
+
+def _bulk_parts(a: np.ndarray):
+    """Decimals and %-argument that print each value of a 1-D float64
+    array as fmt does.
+
+    For finite 1e-280 <= |x| < 1e7, with e the decimal exponent of |x|
+    rounded to nine significant digits, y = |x|*10**(8-e) and
+    r = rint(y), fmt(x) == "%.*f" % (d, x) with d = 8-e; but when r ends
+    in z zeros and was rounded up (y < r), Dragon4 drops those digits
+    and d = max(8-e-z, 8-max(e, 0)). Every other value, and any whose y
+    lies within _MARGIN of a tie, or of an r ending in 0, is formatted
+    by fmt once per distinct bit pattern and gets decimals -1.
+    """
+    ax = np.abs(a)
+    easy = (ax >= 1e-280) & (ax < 1e7)
+    ax = np.where(easy, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    y = ax * _POW10[8 - e]
+    r = np.rint(y)
+    # Whether rounding carries to the next power of ten is decided at
+    # this first scale, so a tie here is hard whatever e turns out to be.
+    tie = np.abs(y - np.floor(y) - 0.5) <= _MARGIN
+    # log10 may put e one off next to a power of ten.
+    for off, step in ((r >= 1e9, 1), (r < 1e8, -1)):
+        e[off] += step
+        y[off] = ax[off] * _POW10[8 - e[off]]
+        r[off] = np.rint(y[off])
+    tie |= np.abs(y - np.floor(y) - 0.5) <= _MARGIN
+    digits = r.astype(np.int64)
+    zero_end = digits % 10 == 0
+    easy &= (r >= 1e8) & (r < 1e9) & ~tie
+    easy &= ~(zero_end & (np.abs(y - r) <= _MARGIN))
+    d = 8 - e
+    cut = np.flatnonzero(easy & zero_end & (y < r))
+    if cut.size:
+        zeros = sum(digits[cut] % 10 ** k == 0 for k in range(1, 9))
+        ec = e[cut]
+        d[cut] = np.maximum(8 - ec - zeros, 8 - np.maximum(ec, 0))
+    args = a.astype(object)
+    hard = np.flatnonzero(~easy)
+    d[hard] = -1
+    if hard.size:
+        # Grouped by bit pattern: -0.0 and 0.0, or two NaNs, print apart.
+        bits, inverse = np.unique(a[hard].view(np.int64),
+                                  return_inverse=True)
+        texts = np.array([fmt(x) for x in bits.view(np.float64)],
+                         dtype=object)
+        args[hard] = texts[inverse]
+    return d, args
+
+
+def _csv_lines(columns) -> str:
+    """CSV lines, one per row of the equal-length 1-D columns.
+
+    A float column is printed as fmt prints it; an object column holds
+    ready text. The whole block is one %-format.
+    """
+    specs = np.empty((len(columns[0]), len(columns)), dtype=object)
+    args = np.empty_like(specs)
+    for j, col in enumerate(columns):
+        table = _LINE_SPECS if j == len(columns) - 1 else _COMMA_SPECS
+        if col.dtype == object:
+            specs[:, j], args[:, j] = table[-1], col
+        else:
+            d, args[:, j] = _bulk_parts(col)
+            specs[:, j] = table[d]
+    return "".join(specs.ravel().tolist()) % tuple(args.ravel().tolist())
+
+
+def fmt_many(a) -> list[str]:
+    """[fmt(x) for x in a], string for string, formatted in bulk."""
+    a = np.ravel(np.asarray(a, dtype=np.float64))
+    return _csv_lines([a]).split("\n")[:-1] if a.size else []
+
+
+# Lines formatted and written at a time: enough to amortise the
+# per-block work, few enough to keep the block's strings small.
+_CHUNK_LINES = 9600
 
 
 def _writer(fh):
@@ -61,25 +167,29 @@ def _strided_indices(n: int, stride: int):
 
 
 def write_trajectory_csv(path, traj: Trajectory, stride: int = 1):
+    idx = np.array(_strided_indices(len(traj), stride))
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["t", "S", "I", "R", "D", "L"])
-        for k in _strided_indices(len(traj), stride):
-            w.writerow([fmt(traj.t[k]), fmt(traj.S[k]), fmt(traj.I[k]),
-                        fmt(traj.R[k]), fmt(traj.D[k]), fmt(traj.L[k])])
+        fh.write("t,S,I,R,D,L\n")
+        for lo in range(0, idx.size, _CHUNK_LINES):
+            k = idx[lo:lo + _CHUNK_LINES]
+            fh.write(_csv_lines([traj.t[k], traj.S[k], traj.I[k],
+                                 traj.R[k], traj.D[k], traj.L[k]]))
 
 
 def write_fields_csv(path, value: ValueField, policy: PolicyField):
     # The S and I labels repeat across the grid, so each is formatted once.
-    s_labels = [fmt(s) for s in value.grid.s_nodes()]
-    i_labels = [fmt(i) for i in value.grid.i_nodes()]
+    s_labels = np.array(fmt_many(value.grid.s_nodes()), dtype=object)
+    i_labels = np.array(fmt_many(value.grid.i_nodes()), dtype=object)
+    n_i = i_labels.size
+    rows = max(1, _CHUNK_LINES // n_i)
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["S", "I", "V", "L"])
-        for s_label, v_row, l_row in zip(s_labels, value.values.tolist(),
-                                         policy.lockdown.tolist()):
-            for i_label, v, L in zip(i_labels, v_row, l_row):
-                w.writerow([s_label, i_label, fmt(v), fmt(L)])
+        fh.write("S,I,V,L\n")
+        for lo in range(0, s_labels.size, rows):
+            s = s_labels[lo:lo + rows]
+            fh.write(_csv_lines([np.repeat(s, n_i),
+                                 np.tile(i_labels, s.size),
+                                 value.values[lo:lo + rows].ravel(),
+                                 policy.lockdown[lo:lo + rows].ravel()]))
 
 
 def write_summary(path, summary: ScenarioSummary):

@@ -14,7 +14,7 @@ import pytest
 
 from epiethics.ethics import (Allocation, Ordering, WelfareCriterion,
                               Witness, _check_critical_level, compare,
-                              default_criteria)
+                              default_criteria, label_number)
 
 LO, HI, POP_CAP = -10.0, 10.0, 8
 SEEDS = range(20)
@@ -23,6 +23,7 @@ CRITERIA = default_criteria() + (
     WelfareCriterion("RDCLU", c=1.0, rank_discount=0.5),
     WelfareCriterion("CLU", c=2.0),
     WelfareCriterion("CLU", c=15.0),    # above the level range
+    WelfareCriterion("CLU", c=1.0000001),   # a level :g would round
 )
 
 
@@ -49,7 +50,7 @@ def ref_critical_level(crit, rng, samples, lo, hi, pop_cap, failed_at=None):
                 break
         if ok and tested >= min(10, samples):
             return "pass", Witness("critical-level", {"c": c}), \
-                f"constructed critical level c={c:g}"
+                f"constructed critical level c={label_number(c)}"
     return "not-found-within-budget", None, ""
 
 
