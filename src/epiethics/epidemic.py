@@ -219,7 +219,8 @@ def sir_derivatives(state: EpidemicState, L: float, params: PlannerParams):
 
 def _rhs(y, L, params: PlannerParams):
     # The SIR right-hand side at y = (S, I, ...), unchecked. Plain
-    # arithmetic, so S, I and L may be floats or broadcastable arrays.
+    # arithmetic, so S, I and L may be floats or broadcastable arrays;
+    # the closed loop and the planner's grid solver both read it.
     S, I = y[0], y[1]
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I
@@ -236,7 +237,7 @@ def _lockdown_loss(S, I, L, params: PlannerParams):
 
 
 def _integrate(state0: EpidemicState, control, params: PlannerParams,
-               horizon: float, dt: float, price=None):
+               horizon: float, dt: float):
     """Fixed-step RK4 on the closed-loop system, with its discounted costs.
 
     control(S, I, R, D, t) gives the lockdown as a float. It is called at
@@ -246,13 +247,13 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     IntegrationError before the first control call, as does a step that
     takes one there; smaller excursions of a step are clipped.
 
-    Given price, the value of one death, the loop also integrates the two
-    discounted flow costs with the same RK4 weights: exp(-(r+nu)t) times
-    _lockdown_loss, and exp(-(r+nu)t) times price times the death flow
-    dD of _rhs. The discount factor is evaluated once per distinct stage
-    time: the mid-step value serves stages 2 and 3, and the end-of-step
-    value is the next step's start. Returns the sampled trajectory and
-    (gdp_loss, death_cost), or None without a price.
+    The loop also integrates the two discounted flow costs with the same
+    RK4 weights: exp(-(r+nu)t) times _lockdown_loss, and exp(-(r+nu)t)
+    times the death flow dD of _rhs times params.death_price. The
+    discount factor is evaluated once per distinct stage time: the
+    mid-step value serves stages 2 and 3, and the end-of-step value is
+    the next step's start. Returns the sampled trajectory and
+    (gdp_loss, death_cost).
 
     The loop runs on plain floats but keeps, value by value, the
     operation order of the equivalent loop over numpy state vectors, so
@@ -290,12 +291,11 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         raise IntegrationError(
             f"start state outside [0, 1] at step 0 (t={t:.6f}): "
             f"{[S, I, R, D]}")
-    priced = price is not None
-    if priced:
-        rho = params.discount_rate
-        exp = math.exp
-        disc = exp(-rho * t)
-        gdp_loss = death_cost = 0.0
+    price = params.death_price
+    rho = params.discount_rate
+    exp = math.exp
+    disc = exp(-rho * t)
+    gdp_loss = death_cost = 0.0
 
     for k, h in enumerate(steps):
         half = 0.5 * h
@@ -321,19 +321,18 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         dS4, dI4, dR4, dD4 = _rhs((S4, I4), L4, params)
 
         sixth = h / 6.0
-        if priced:
-            disc_mid = exp(-rho * t_mid)
-            disc_end = exp(-rho * t_end)
-            gdp_loss = gdp_loss + sixth * (
-                disc * _lockdown_loss(S, I, L1, params)
-                + 2.0 * (disc_mid * _lockdown_loss(S2, I2, L2, params))
-                + 2.0 * (disc_mid * _lockdown_loss(S3, I3, L3, params))
-                + disc_end * _lockdown_loss(S4, I4, L4, params))
-            death_cost = death_cost + sixth * (
-                disc * (dD1 * price) + 2.0 * (disc_mid * (dD2 * price))
-                + 2.0 * (disc_mid * (dD3 * price))
-                + disc_end * (dD4 * price))
-            disc = disc_end
+        disc_mid = exp(-rho * t_mid)
+        disc_end = exp(-rho * t_end)
+        gdp_loss = gdp_loss + sixth * (
+            disc * _lockdown_loss(S, I, L1, params)
+            + 2.0 * (disc_mid * _lockdown_loss(S2, I2, L2, params))
+            + 2.0 * (disc_mid * _lockdown_loss(S3, I3, L3, params))
+            + disc_end * _lockdown_loss(S4, I4, L4, params))
+        death_cost = death_cost + sixth * (
+            disc * (dD1 * price) + 2.0 * (disc_mid * (dD2 * price))
+            + 2.0 * (disc_mid * (dD3 * price))
+            + disc_end * (dD4 * price))
+        disc = disc_end
         S = S + sixth * (dS1 + 2.0 * dS2 + 2.0 * dS3 + dS4)
         I = I + sixth * (dI1 + 2.0 * dI2 + 2.0 * dI3 + dI4)
         R = R + sixth * (dR1 + 2.0 * dR2 + 2.0 * dR3 + dR4)
@@ -363,7 +362,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     traj = Trajectory(t=ts, S=path[:, 0], I=path[:, 1], R=path[:, 2],
                       D=path[:, 3], L=Ls)
-    return traj, ((gdp_loss, death_cost) if priced else None)
+    return traj, (gdp_loss, death_cost)
 
 
 def integrate_trajectory(state0: EpidemicState, control,
@@ -379,7 +378,8 @@ def integrate_trajectory(state0: EpidemicState, control,
     that takes a compartment more than 1e-12 outside [0, 1] raises
     IntegrationError; smaller excursions are clipped. The results equal,
     bit for bit, RK4 on numpy state vectors in the same operation order
-    (tests/test_rk4_reference.py).
+    (tests/test_rk4_reference.py). This is _integrate, the one RK4 loop,
+    with the discounted costs it accumulates discarded.
     """
     def stage_control(S, I, R, D, t):
         return float(control(EpidemicState._unchecked(S, I, R, D, t), t))

@@ -583,13 +583,12 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
         for _ in range(200):
             cx = _alloc(_rand_levels(rng, pop_cap, lo, hi))
             cy = _alloc(_rand_levels(rng, pop_cap, lo, hi))
-            if compare(cx, cy, crit) is Ordering.StrictlyBetter:
+            vx, vy = criterion_value(cx, crit), criterion_value(cy, crit)
+            if _orders(vx, vy) == 1:
                 x, y = cx, cy
                 break
         if x is None:
             continue
-        vx = criterion_value(x, crit)
-        vy = criterion_value(y, crit)
         target = 0.5 * (vx + vy)
         hit = None
         span = hi - lo
@@ -607,9 +606,8 @@ def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
                 if not moved:
                     break    # a fixed point: every later step repeats it
             z = 0.5 * (z_lo + z_hi)
-            zn = Allocation.uniform(z, n)
-            if (compare(zn, y, crit) is Ordering.StrictlyBetter
-                    and compare(zn, x, crit) is Ordering.StrictlyWorse):
+            vz = criterion_value(Allocation.uniform(z, n), crit)
+            if _orders(vz, vy) == 1 and _orders(vz, vx) == -1:
                 hit = (z, n)
                 break
         if hit is None:
@@ -779,12 +777,12 @@ def very_sadistic_witness(crit: WelfareCriterion,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     best = None
+    ns = np.arange(1, n_max + 1)
+    negatives = [(neg, criterion_value(neg, crit))
+                 for neg in map(Allocation, _NEGATIVE_ALLOCS)]
     for vi, v in enumerate(_POSITIVE_LEVELS):
-        for nj, neg_levels in enumerate(_NEGATIVE_ALLOCS):
-            neg = Allocation(neg_levels)
-            vneg = criterion_value(neg, crit)
-            ns = np.arange(1, n_max + 1)
-            vals = _uniform_value(v, ns, crit)
+        vals = _uniform_value(v, ns, crit)
+        for nj, (neg, vneg) in enumerate(negatives):
             strict = _orders(vneg, vals) == 1
             if not strict.any():
                 continue

@@ -24,7 +24,7 @@ import scipy
 from . import __version__
 from .config import RunConfig, serialize_config
 from .epidemic import Trajectory
-from .ethics import AxiomReport, PropertyMatrix, Witness
+from .ethics import PropertyMatrix, Witness
 from .planner import PolicyField, ScenarioSummary, ValueField, resolved_tol
 from .sensitivity import SensitivityReport
 

@@ -59,16 +59,16 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
 import numpy as np
 
-from .epidemic import EpidemicState, PlannerParams, Trajectory, \
-    basic_reproduction_number, _check_lockdown, _fatality, _integrate, \
-    _lockdown_loss, _require
+from .epidemic import EpidemicState, PlannerParams, \
+    basic_reproduction_number, _check_lockdown, _integrate, _lockdown_loss, \
+    _require, _rhs
 
 __all__ = [
     "GridSpec",
@@ -158,10 +158,9 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     corner keeps its cell off the mask, as the interpolation may then
     give -0.0.
     """
-    s_nodes = grid.s_nodes().tolist()
-    i_nodes = grid.i_nodes().tolist()
-    hS = s_nodes[1] - s_nodes[0]
-    hI = i_nodes[1] - i_nodes[0]
+    sN, iN, hS, hI = _mesh(grid)
+    s_nodes = sN.tolist()
+    i_nodes = iN.tolist()
     i_top = grid.n_S - 2
     j_top = grid.n_I - 2
     field = memoryview(values)
@@ -260,19 +259,7 @@ def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
     cost_per_death + chi.
     """
     _check_lockdown(L, params)
-    gdp, deaths = _flow_cost_terms(state.S, state.I, L, params)
-    return float(gdp + deaths)
-
-
-def _flow_cost_terms(S, I, L, params: PlannerParams, price=None):
-    # The two terms of the flow cost, lockdown output loss and death
-    # cost, for floats or broadcastable arrays. price, the value of one
-    # death, defaults to params.death_price; the stacked solve passes
-    # one per scenario, shaped to broadcast over its leading axis.
-    if price is None:
-        price = params.death_price
-    deaths = _fatality(I, params) * I * price
-    return _lockdown_loss(S, I, L, params), deaths
+    return float(_row_quantities(state.S, state.I, L, params)[2])
 
 
 def boundary_value_s_zero(I, params: PlannerParams):
@@ -293,14 +280,15 @@ def boundary_value_s_zero(I, params: PlannerParams):
 
 def _row_quantities(S, I, L, params: PlannerParams, price=None):
     # Drift and cost pieces at nodes I (any shape) under lockdown L
-    # (broadcastable against I). The flow is epidemic._rhs's -dS, written
-    # out: taking it from _rhs would negate it twice and compute dR and
-    # dD for nothing, about 2% of a solve.
-    lock = (1.0 - params.theta * L) ** 2
-    flow = params.beta_contact * S * I * lock
-    f_I = flow - params.gamma * I
-    gdp, deaths = _flow_cost_terms(S, I, L, params, price)
-    return flow, f_I, gdp + deaths
+    # (broadcastable against I), all from epidemic._rhs: the infection
+    # flow -dS, the I-drift dI, and the flow cost, lockdown output loss
+    # plus the death flow dD valued at price. price, the value of one
+    # death, defaults to params.death_price; the stacked solve passes one
+    # per scenario, shaped to broadcast over its leading axis.
+    if price is None:
+        price = params.death_price
+    dS, dI, _, dD = _rhs((S, I), L, params)
+    return -dS, dI, _lockdown_loss(S, I, L, params) + dD * price
 
 
 def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
@@ -441,10 +429,12 @@ def _control_set(controls, params: PlannerParams):
 
 
 def _mesh(grid: GridSpec):
-    # The solver's nodes and their spacings: (s_nodes, i_nodes, hS, hI).
+    # The solver's nodes and their spacings: (s_nodes, i_nodes, hS, hI),
+    # the spacings as Python floats for _bilinear's per-call arithmetic;
+    # an array divided by one gives the same bits as by an np.float64.
     sN = grid.s_nodes()
     iN = grid.i_nodes()
-    return sN, iN, sN[1] - sN[0], iN[1] - iN[0]
+    return sN, iN, float(sN[1] - sN[0]), float(iN[1] - iN[0])
 
 
 def resolved_tol(params: PlannerParams, tol: float | None = None) -> float:
@@ -678,9 +668,7 @@ class ScenarioSummary:
     horizon: float
 
     def as_lines(self):
-        names = ("total_deaths", "gdp_loss", "death_cost", "value", "peak_I",
-                 "peak_L", "lockdown_years", "lockdown_end", "horizon")
-        return [f"{n}={getattr(self, n)!r}" for n in names]
+        return [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
 
 
 def _policy_controller(policy: PolicyField | None, params: PlannerParams):
@@ -729,8 +717,8 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
     accumulates the discounted lockdown output loss and death cost.
     """
     control = _policy_controller(policy, params)
-    traj, (gdp_loss, death_cost) = _integrate(
-        state0, control, params, horizon, dt, price=params.death_price)
+    traj, (gdp_loss, death_cost) = _integrate(state0, control, params,
+                                              horizon, dt)
     locked = traj.L > LOCKDOWN_THRESHOLD
     step = np.diff(traj.t)
     lock_years = float(np.sum(step[locked[:-1]]))
