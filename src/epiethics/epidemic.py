@@ -258,15 +258,27 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     The loop runs on plain floats but keeps, value by value, the
     operation order of the equivalent loop over numpy state vectors, so
     its output is bit for bit the same; tests/test_rk4_reference.py keeps
-    that array loop and checks the equality.
+    that array loop and checks the equality. horizon and dt must be
+    positive and finite; NaN is refused by name. Samples go into four
+    1-D columns, one per compartment, which the Trajectory keeps.
+
+    Per step the loop avoids calls: each stage's lockdown guard is
+    _check_lockdown's own comparison, written inline, and calls the
+    check only to raise its error (NaN fails the comparison too); the
+    [0, 1] clips are comparisons. x < 0.0 -> 0.0, x > 1.0 -> 1.0 is
+    exactly min(max(x, 0.0), 1.0): max returns its first argument
+    unless the second compares greater, so both keep a -0.0, and the
+    step's range check rejects a NaN before the clip.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    # Written so that NaN fails the comparisons, and so does an infinite
+    # horizon, which has no last sample.
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt={dt!r} must be positive and finite")
     if dt > stability_bound(params) * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt!r} exceeds stability bound {stability_bound(params)!r}")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon={horizon!r} must be positive and finite")
 
     n_full = int(math.floor(horizon / dt + 1e-9))
     steps = [dt] * n_full
@@ -278,12 +290,12 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     S, I, R, D = state0.S, state0.I, state0.R, state0.D
     t = state0.t
     ts = np.empty(n + 1)
-    path = np.empty((n + 1, 4))
+    cols = np.empty((4, n + 1))
     Ls = np.empty(n + 1)
     ts[0] = t
-    path[0] = (S, I, R, D)
-    ts_out, path_out, Ls_out = memoryview(ts), memoryview(path), \
-        memoryview(Ls)
+    cols[:, 0] = (S, I, R, D)
+    ts_out, Ls_out = memoryview(ts), memoryview(Ls)
+    S_out, I_out, R_out, D_out = (memoryview(c) for c in cols)
     lo, hi = -_STATE_ATOL, 1.0 + _STATE_ATOL
     # The start is checked as every step's end is, before control sees it.
     if not (lo <= S <= hi and lo <= I <= hi and lo <= R <= hi
@@ -293,6 +305,9 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
             f"{[S, I, R, D]}")
     price = params.death_price
     rho = params.discount_rate
+    L_bar = params.L_bar
+    # Looked up once per call, not per stage; still the one home of each.
+    rhs, loss = _rhs, _lockdown_loss
     exp = math.exp
     disc = exp(-rho * t)
     gdp_loss = death_cost = 0.0
@@ -301,33 +316,38 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         half = 0.5 * h
         t_mid = t + half
         t_end = t + h
+        # Each guard calls _check_lockdown only to raise its error.
         L1 = control(S, I, R, D, t)
-        _check_lockdown(L1, params)
-        dS1, dI1, dR1, dD1 = _rhs((S, I), L1, params)
+        if not 0.0 <= L1 <= L_bar:
+            _check_lockdown(L1, params)
+        dS1, dI1, dR1, dD1 = rhs((S, I), L1, params)
         S2, I2 = S + half * dS1, I + half * dI1
         R2, D2 = R + half * dR1, D + half * dD1
         L2 = control(S2, I2, R2, D2, t_mid)
-        _check_lockdown(L2, params)
-        dS2, dI2, dR2, dD2 = _rhs((S2, I2), L2, params)
+        if not 0.0 <= L2 <= L_bar:
+            _check_lockdown(L2, params)
+        dS2, dI2, dR2, dD2 = rhs((S2, I2), L2, params)
         S3, I3 = S + half * dS2, I + half * dI2
         R3, D3 = R + half * dR2, D + half * dD2
         L3 = control(S3, I3, R3, D3, t_mid)
-        _check_lockdown(L3, params)
-        dS3, dI3, dR3, dD3 = _rhs((S3, I3), L3, params)
+        if not 0.0 <= L3 <= L_bar:
+            _check_lockdown(L3, params)
+        dS3, dI3, dR3, dD3 = rhs((S3, I3), L3, params)
         S4, I4 = S + h * dS3, I + h * dI3
         R4, D4 = R + h * dR3, D + h * dD3
         L4 = control(S4, I4, R4, D4, t_end)
-        _check_lockdown(L4, params)
-        dS4, dI4, dR4, dD4 = _rhs((S4, I4), L4, params)
+        if not 0.0 <= L4 <= L_bar:
+            _check_lockdown(L4, params)
+        dS4, dI4, dR4, dD4 = rhs((S4, I4), L4, params)
 
         sixth = h / 6.0
         disc_mid = exp(-rho * t_mid)
         disc_end = exp(-rho * t_end)
         gdp_loss = gdp_loss + sixth * (
-            disc * _lockdown_loss(S, I, L1, params)
-            + 2.0 * (disc_mid * _lockdown_loss(S2, I2, L2, params))
-            + 2.0 * (disc_mid * _lockdown_loss(S3, I3, L3, params))
-            + disc_end * _lockdown_loss(S4, I4, L4, params))
+            disc * loss(S, I, L1, params)
+            + 2.0 * (disc_mid * loss(S2, I2, L2, params))
+            + 2.0 * (disc_mid * loss(S3, I3, L3, params))
+            + disc_end * loss(S4, I4, L4, params))
         death_cost = death_cost + sixth * (
             disc * (dD1 * price) + 2.0 * (disc_mid * (dD2 * price))
             + 2.0 * (disc_mid * (dD3 * price))
@@ -343,25 +363,38 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
             raise IntegrationError(
                 f"compartment escaped [0, 1] at step {k} (t={t + h:.6f}): "
                 f"{[S, I, R, D]}")
-        S = min(max(S, 0.0), 1.0)
-        I = min(max(I, 0.0), 1.0)
-        R = min(max(R, 0.0), 1.0)
-        D = min(max(D, 0.0), 1.0)
+        # The clip to [0, 1], bit for bit min(max(x, 0.0), 1.0).
+        if S < 0.0:
+            S = 0.0
+        elif S > 1.0:
+            S = 1.0
+        if I < 0.0:
+            I = 0.0
+        elif I > 1.0:
+            I = 1.0
+        if R < 0.0:
+            R = 0.0
+        elif R > 1.0:
+            R = 1.0
+        if D < 0.0:
+            D = 0.0
+        elif D > 1.0:
+            D = 1.0
         t += h
         Ls_out[k] = L1
         ts_out[k + 1] = t
-        path_out[k + 1, 0] = S
-        path_out[k + 1, 1] = I
-        path_out[k + 1, 2] = R
-        path_out[k + 1, 3] = D
+        S_out[k + 1] = S
+        I_out[k + 1] = I
+        R_out[k + 1] = R
+        D_out[k + 1] = D
 
     # Lockdown that would apply at the final sample.
     L_end = control(S, I, R, D, t)
     _check_lockdown(L_end, params)
     Ls_out[n] = L_end
 
-    traj = Trajectory(t=ts, S=path[:, 0], I=path[:, 1], R=path[:, 2],
-                      D=path[:, 3], L=Ls)
+    traj = Trajectory(t=ts, S=cols[0], I=cols[1], R=cols[2], D=cols[3],
+                      L=Ls)
     return traj, (gdp_loss, death_cost)
 
 

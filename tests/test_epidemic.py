@@ -188,6 +188,18 @@ def test_step_size_bound_enforced():
     assert len(traj) == 11
 
 
+@pytest.mark.parametrize("horizon, dt, name", [
+    (math.nan, 1 / 365, "horizon"), (1.0, math.nan, "dt"),
+    (math.inf, 1 / 365, "horizon")])
+def test_non_finite_horizon_or_step_rejected_by_name(horizon, dt, name):
+    # NaN fails every comparison, and an infinite horizon has no last
+    # sample: both are refused under the argument's name instead of
+    # failing later in the step count's int().
+    with pytest.raises(ValueError, match=rf"^{name}=(nan|inf) must be"):
+        integrate_trajectory(START, constant(0.0), PARAMS,
+                             horizon=horizon, dt=dt)
+
+
 def test_disease_free_state_is_stationary():
     state = EpidemicState(S=0.6, I=0.0, R=0.4)
     traj = integrate_trajectory(state, constant(0.3), PARAMS,
@@ -305,7 +317,7 @@ def test_nan_state_raises_integration_error(shares):
             simulate_optimal(policy, PlannerParams(), start, 20.0, 1 / 365)
 
 
-@pytest.mark.parametrize("bad", [-0.01, PARAMS.L_bar + 0.01])
+@pytest.mark.parametrize("bad", [-0.01, PARAMS.L_bar + 0.01, math.nan])
 def test_integrator_rejects_lockdown_outside_range(bad):
     with pytest.raises(ValueError, match="lockdown"):
         integrate_trajectory(START, constant(bad), PARAMS,

@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiethics import EpidemicState, PlannerParams
 from epiethics.epidemic import integrate_trajectory
-from epiethics.planner import (GridSpec, PolicyField, evaluate_policy,
-                               simulate_optimal, solve_value_function)
+from epiethics.planner import (GridSpec, PolicyField, _bilinear,
+                               evaluate_policy, simulate_optimal,
+                               solve_value_function)
 
 PARAMS = PlannerParams()
 START = EpidemicState(S=0.98, I=0.02)
@@ -193,3 +195,24 @@ def test_zero_cell_shortcut_is_bit_identical(start, negative_zero):
     assert np.count_nonzero(zero[1:] != zero[:-1]) >= 2
     assert np.any(zero & ~np.signbit(traj.L)) and np.any(traj.L > 0.0)
     assert np.any(zero & np.signbit(traj.L)) == negative_zero
+
+
+# Coordinates where a comparison clamp and min/max could part: both
+# zeros, the top edge and the float just past it, points outside the
+# unit square, and the handmade grid's nodes.
+EDGES = [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+         -0.5, 1.5] + np.linspace(0.0, 1.0, 40).tolist()
+COORD = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(EDGES))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(COORD, COORD)
+def test_bilinear_clamps_match_min_max_form(S, I):
+    # The closed loop's control clamps S, I and the cell index with
+    # comparisons; the reference clamps with min and max. Trajectories
+    # stay inside the unit square, so this pins the branches outside it.
+    policy = handmade_policy()
+    got = _bilinear(policy.grid, policy.lockdown, 0.0, PARAMS.L_bar)(S, I)
+    want = reference_policy_control(policy, PARAMS)(
+        EpidemicState._unchecked(S, I, 0.0, 0.0, 0.0), 0.0)
+    assert same_bits(got, want), (S, I, got, want)
