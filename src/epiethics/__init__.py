@@ -4,13 +4,12 @@ death valuation derived from explicit population-ethics criteria."""
 __version__ = "0.1.0"
 
 from .epidemic import (EpidemicState, IntegrationError, PlannerParams,
-                       Trajectory, basic_reproduction_number, fatality_rate,
-                       integrate_trajectory, sir_derivatives, stability_bound)
+                       Trajectory, basic_reproduction_number,
+                       integrate_trajectory, stability_bound)
 from .planner import (GridSpec, PolicyField, ScenarioSummary,
                       SolverConvergenceError, SolverNumericalError,
                       ValueField, bellman_residual, boundary_value_s_zero,
-                      evaluate_policy, flow_cost, simulate_optimal,
-                      solve_value_function)
+                      simulate_optimal, solve_value_function)
 from .ethics import (Allocation, AxiomReport, Ordering, PropertyMatrix,
                      UtilityTransform, WelfareCriterion, check_axiom,
                      check_axioms, compare, criterion_value, default_criteria,
@@ -54,9 +53,6 @@ __all__ = [
     "criterion_value",
     "death_cost_from_criterion",
     "default_criteria",
-    "evaluate_policy",
-    "fatality_rate",
-    "flow_cost",
     "integrate_trajectory",
     "parse_config",
     "property_matrix",
@@ -65,7 +61,6 @@ __all__ = [
     "run_sensitivity",
     "serialize_config",
     "simulate_optimal",
-    "sir_derivatives",
     "solve_value_function",
     "stability_bound",
     "very_sadistic_witness",

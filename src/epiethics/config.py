@@ -159,7 +159,7 @@ def criterion_spec(crit: WelfareCriterion) -> str:
     if crit.kind == "RDCLU":
         bits.append(f"rd={crit.rank_discount!r}")
     if crit.u.kind == "power":
-        bits.append(f"u=pow{crit.u.eta!r}")
+        bits.append(f"u={crit.u.spec()}")
     return ":".join(bits)
 
 
@@ -234,7 +234,6 @@ _SCHEMA = {
     "ladder": (None, "ladder", _FLOATS),
     "out_dir": (None, "out_dir", _TEXT),
 }
-KEY_ORDER = tuple(_SCHEMA)
 
 # RunConfig last: it is built from the others.
 _OWNERS = {"params": PlannerParams, "grid": GridSpec,
@@ -246,15 +245,15 @@ _AUTO = {_KEY_OF[owner, f.name] for owner, cls in _OWNERS.items()
 
 
 def _build(owner, kwargs, lines):
-    # Construct a validated owner. A failed check names its keys (the
-    # fields of PlannerParams and GridSpec are named as their keys), or
-    # else its message starts with the field; point at the line of the
-    # first of those keys that the text set.
+    # Construct a validated owner. A failed check names the fields it
+    # read, which _KEY_OF turns into keys; RunConfig's own checks name
+    # config keys already. Point at the line of the first of those keys
+    # that the text set.
     try:
         return _OWNERS[owner](**kwargs)
-    except ValueError as exc:
-        keys = (getattr(exc, "keys", ())
-                or (_KEY_OF.get((owner, str(exc).partition(" ")[0])),))
+    except ParameterError as exc:
+        keys = (exc.keys if owner is None
+                else [_KEY_OF[owner, name] for name in exc.keys])
         line = next((lines[k] for k in keys if k in lines), None)
         msg = str(exc) if line is None else f"line {line}: {exc}"
         raise ConfigError(msg) from exc

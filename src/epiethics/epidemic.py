@@ -22,9 +22,7 @@ __all__ = [
     "PlannerParams",
     "Trajectory",
     "basic_reproduction_number",
-    "fatality_rate",
     "integrate_trajectory",
-    "sir_derivatives",
     "stability_bound",
 ]
 
@@ -123,7 +121,7 @@ class EpidemicState:
 
     Construction clips rounding noise of at most 1e-9 back into [0, 1]
     and rejects anything larger, or NaN; the four shares must sum to one
-    within 1e-9.
+    within 1e-9, and t must be finite.
     """
 
     S: float
@@ -143,6 +141,9 @@ class EpidemicState:
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
         if not abs(total - 1.0) <= _SUM_ATOL:
             raise ValueError(f"compartments sum to {total!r}, expected 1")
+        # Written so that NaN fails the comparison too.
+        if not -math.inf < self.t < math.inf:
+            raise ValueError(f"t={self.t!r} must be finite")
 
     @classmethod
     def _unchecked(cls, S, I, R, D, t):
@@ -173,19 +174,6 @@ class Trajectory:
     def __len__(self):
         return self.t.size
 
-    def state_at(self, k: int) -> EpidemicState:
-        return EpidemicState(self.S[k], self.I[k], self.R[k], self.D[k],
-                             t=self.t[k])
-
-
-def fatality_rate(I, params: PlannerParams):
-    """Death rate phi(I) = phi0 + kappa * I among exits, per year."""
-    arr = np.asarray(I, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("infected share outside [0, 1]")
-    out = _fatality(arr, params)
-    return float(out) if out.ndim == 0 else out
-
 
 def _fatality(I, params: PlannerParams):
     # phi(I) = phi0 + kappa*I, unchecked, for floats or arrays.
@@ -207,20 +195,12 @@ def _check_lockdown(L: float, params: PlannerParams):
         raise ValueError(f"lockdown L={L!r} outside [0, {params.L_bar}]")
 
 
-def sir_derivatives(state: EpidemicState, L: float, params: PlannerParams):
-    """Time derivatives (dS, dI, dR, dD) under lockdown L.
-
-    The flows are paired so the four derivatives cancel to zero up to a
-    couple of rounding ulps.
-    """
-    _check_lockdown(L, params)
-    return _rhs((state.S, state.I), L, params)
-
-
 def _rhs(y, L, params: PlannerParams):
-    # The SIR right-hand side at y = (S, I, ...), unchecked. Plain
-    # arithmetic, so S, I and L may be floats or broadcastable arrays;
-    # the closed loop and the planner's grid solver both read it.
+    # The SIR right-hand side (dS, dI, dR, dD) at y = (S, I, ...),
+    # unchecked. The flows are paired so the four cancel to zero up to a
+    # couple of rounding ulps. Plain arithmetic, so S, I and L may be
+    # floats or broadcastable arrays; the closed loop and the planner's
+    # grid solver both read it.
     S, I = y[0], y[1]
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I

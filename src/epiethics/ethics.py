@@ -251,11 +251,6 @@ class _Cases:
         return values.reshape(self.shape)
 
 
-def _criterion_values(rows, crit: WelfareCriterion) -> np.ndarray:
-    """Welfare of each row of levels, as one case of len(rows) rows."""
-    return _Cases([rows]).values(crit)[0]
-
-
 def criterion_value(x: Allocation, crit: WelfareCriterion) -> float:
     """Real-valued welfare of an allocation under a criterion.
 
@@ -847,16 +842,6 @@ _REFERENCE_CLASSIFICATION = {
 _PROP_TO_REFERENCE_COLUMN = {"A4": "existence-independence",
                              "A5": "existence-independence",
                              "A8": None}
-
-MATRIX_PROPERTIES = (
-    "negative-expansion",
-    "repugnance-avoidance",
-    "A4",
-    "A5",
-    "A8",
-    "utility-independence",
-    "priority-lives-worth-living",
-)
 
 
 @dataclass(frozen=True)

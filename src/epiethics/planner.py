@@ -67,8 +67,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, \
-    basic_reproduction_number, _check_lockdown, _integrate, _lockdown_loss, \
-    _require, _rhs
+    basic_reproduction_number, _integrate, _lockdown_loss, _require, _rhs
 
 __all__ = [
     "GridSpec",
@@ -79,8 +78,6 @@ __all__ = [
     "ValueField",
     "bellman_residual",
     "boundary_value_s_zero",
-    "evaluate_policy",
-    "flow_cost",
     "resolved_tol",
     "simulate_optimal",
     "solve_stacked",
@@ -266,18 +263,6 @@ class PolicyField(_GridField):
     @classmethod
     def constant(cls, grid: GridSpec, L: float) -> "PolicyField":
         return cls(grid, np.full((grid.n_S, grid.n_I), float(L)))
-
-
-def flow_cost(state: EpidemicState, L: float, params: PlannerParams) -> float:
-    """Instantaneous planner cost at a state under lockdown L.
-
-    Output lost to lockdown is w*L weighted by the locked-down share
-    (S + I if the recovered are testable and exempt, the whole unit
-    population otherwise), plus the flow of deaths valued at
-    cost_per_death + chi.
-    """
-    _check_lockdown(L, params)
-    return float(_row_quantities(state.S, state.I, L, params)[2])
 
 
 def boundary_value_s_zero(I, params: PlannerParams):
@@ -705,23 +690,6 @@ def _policy_controller(policy: PolicyField | None, params: PlannerParams):
     if policy is None:
         return lambda S, I, R, D, t: 0.0
     return _bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
-
-
-def evaluate_policy(policy: PolicyField, params: PlannerParams,
-                    state0: EpidemicState, horizon: float,
-                    dt: float) -> float:
-    """Discounted cost of following a fixed policy from state0.
-
-    The value of simulate_optimal's closed loop, whose RK4 integrator
-    accumulates exp(-(r+nu)t) * flow_cost alongside the state. The
-    horizon must be long enough that the discount tail is below 1e-6.
-    """
-    rho = params.discount_rate
-    if math.exp(-rho * horizon) >= 1e-6:
-        raise ValueError(
-            f"horizon {horizon!r} too short: need exp(-(r+nu)*T) < 1e-6, "
-            f"i.e. T > {math.log(1e6) / rho:.2f}")
-    return simulate_optimal(policy, params, state0, horizon, dt)[1].value
 
 
 def simulate_optimal(policy: PolicyField | None, params: PlannerParams,

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .epidemic import EpidemicState, PlannerParams
+from .epidemic import EpidemicState, PlannerParams, _require
 from .ethics import (Allocation, WelfareCriterion, criterion_value,
                      label_number)
 # solve_value_function is not called here: perfbench/spans.py swaps this
@@ -54,12 +54,12 @@ class VictimProfile:
 
     def __post_init__(self):
         for name in ("lived", "remaining", "exchange_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.remaining < 0.0:
-            raise ValueError("remaining must be non-negative")
-        if self.exchange_rate <= 0.0:
-            raise ValueError("exchange_rate must be strictly positive")
+            _require(math.isfinite(getattr(self, name)),
+                     f"{name} must be finite", name)
+        _require(self.remaining >= 0.0, "remaining must be non-negative",
+                 "remaining")
+        _require(self.exchange_rate > 0.0,
+                 "exchange_rate must be strictly positive", "exchange_rate")
 
 
 def death_cost_from_criterion(crit: WelfareCriterion,

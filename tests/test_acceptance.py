@@ -18,14 +18,14 @@ from scipy.integrate import quad
 
 import conftest
 from epiethics.cli import main as cli_main
-from epiethics.epidemic import EpidemicState, PlannerParams, fatality_rate
+from epiethics.epidemic import EpidemicState, PlannerParams, _fatality
 from epiethics.ethics import (Allocation, Ordering, WelfareCriterion,
                               check_axiom, compare, criterion_value,
                               repugnant_witness, replay_witness,
                               very_sadistic_witness, AXIOM_IDS)
 from epiethics.output import fmt
-from epiethics.planner import (GridSpec, PolicyField, evaluate_policy,
-                               simulate_optimal, solve_value_function)
+from epiethics.planner import (GridSpec, PolicyField, simulate_optimal,
+                               solve_value_function)
 from epiethics.sensitivity import run_sensitivity
 
 PARAMS = PlannerParams()
@@ -99,12 +99,12 @@ def ladder_report():
 
 def test_criterion_1_fatality_anchors():
     g = PARAMS.gamma
-    lo = fatality_rate(0.0, PARAMS)
-    hi = fatality_rate(0.4, PARAMS)
+    lo = _fatality(0.0, PARAMS)
+    hi = _fatality(0.4, PARAMS)
     ok = lo == 0.01 * g and abs(hi - 0.03 * g) <= 1e-15 * g
     report(1, ok,
-           f"fatality_rate(0)={lo!r} vs 0.01*gamma={0.01 * g!r}; "
-           f"fatality_rate(0.4)={hi!r} vs 0.03*gamma={0.03 * g!r} "
+           f"phi(0)={lo!r} vs 0.01*gamma={0.01 * g!r}; "
+           f"phi(0.4)={hi!r} vs 0.03*gamma={0.03 * g!r} "
            f"(machine precision)")
 
 
@@ -153,7 +153,7 @@ def test_criterion_3_optimality_sandwich(bench):
     margins = {}
     for L in (0.0, 0.25 * PARAMS.L_bar, 0.5 * PARAMS.L_bar, PARAMS.L_bar):
         const = PolicyField.constant(GRID, L)
-        cost = evaluate_policy(const, PARAMS, STATE0, HORIZON, DT)
+        cost = simulate_optimal(const, PARAMS, STATE0, HORIZON, DT)[1].value
         margins[L] = cost + slack - v_opt
     ok = all(m >= 0.0 for m in margins.values()) and elapsed < 60.0
     detail = ", ".join(f"L={L:g}: margin {m:+.2e}"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from epiethics.config import (
     ConfigError,
-    KEY_ORDER,
     RunConfig,
+    _SCHEMA,
     criterion_from_spec,
     criterion_spec,
     parse_config,
@@ -75,7 +75,7 @@ def test_comments_and_blank_lines_are_ignored():
 def test_serialize_emits_every_key_in_canonical_order():
     text = serialize_config(parse_config(""))
     keys = [line.split("=", 1)[0] for line in text.strip().splitlines()]
-    assert keys == list(KEY_ORDER)
+    assert keys == list(_SCHEMA)
 
 
 def test_round_trip_is_identity():

@@ -18,10 +18,10 @@ from epiethics import EpidemicState, PlannerParams
 from epiethics.epidemic import (
     IntegrationError,
     ParameterError,
+    _fatality,
+    _rhs,
     basic_reproduction_number,
-    fatality_rate,
     integrate_trajectory,
-    sir_derivatives,
     stability_bound,
 )
 from epiethics.planner import (GridSpec, PolicyField, simulate_optimal,
@@ -41,24 +41,17 @@ def constant(L):
 
 def test_fatality_rate_anchors_exact():
     # Anchors: 1% of the exit rate with no load, 3% at 40% prevalence.
-    assert fatality_rate(0.0, PARAMS) == 0.01 * PARAMS.gamma
-    assert abs(fatality_rate(0.4, PARAMS) - 0.03 * PARAMS.gamma) < 1e-15
+    assert _fatality(0.0, PARAMS) == 0.01 * PARAMS.gamma
+    assert abs(_fatality(0.4, PARAMS) - 0.03 * PARAMS.gamma) < 1e-15
     # Affine interpolation puts the midpoint anchor at 2%.
-    assert abs(fatality_rate(0.2, PARAMS) - 0.02 * PARAMS.gamma) < 1e-15
+    assert abs(_fatality(0.2, PARAMS) - 0.02 * PARAMS.gamma) < 1e-15
 
 
 def test_fatality_rate_affine_in_prevalence():
     i = np.linspace(0.0, 1.0, 11)
-    rates = fatality_rate(i, PARAMS)
+    rates = _fatality(i, PARAMS)
     np.testing.assert_allclose(np.diff(rates, 2), 0.0, atol=1e-15)
     assert np.all(np.diff(rates) > 0.0)
-
-
-def test_fatality_rate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        fatality_rate(-0.1, PARAMS)
-    with pytest.raises(ValueError):
-        fatality_rate(1.1, PARAMS)
 
 
 def test_default_fatality_slope_tracks_gamma():
@@ -79,27 +72,27 @@ def test_reproduction_number():
 
 def test_derivatives_vanish_without_infection():
     state = EpidemicState(S=0.7, I=0.0, R=0.3)
-    assert sir_derivatives(state, 0.0, PARAMS) == (0.0, 0.0, 0.0, 0.0)
+    assert _rhs((state.S, state.I), 0.0, PARAMS) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_infection_flow_matches_mass_action():
-    dS, dI, dR, dD = sir_derivatives(START, 0.0, PARAMS)
+    dS, dI, dR, dD = _rhs((START.S, START.I), 0.0, PARAMS)
     assert dS == -(PARAMS.beta_contact * 0.98 * 0.02)
     # All of the outflow from S enters I; exits split between R and D.
     assert dI == -dS - PARAMS.gamma * 0.02
-    assert dD == fatality_rate(0.02, PARAMS) * 0.02
+    assert dD == _fatality(0.02, PARAMS) * 0.02
     assert dR == PARAMS.gamma * 0.02 - dD
 
 
 def test_full_lockdown_quarters_transmission():
     # With contact effectiveness 0.5, L = 1 scales the flow by (1-0.5)^2.
-    open_flow = sir_derivatives(START, 0.0, PARAMS)[0]
-    shut_flow = sir_derivatives(START, 1.0, PlannerParams(L_bar=1.0))[0]
+    open_flow = _rhs((START.S, START.I), 0.0, PARAMS)[0]
+    shut_flow = _rhs((START.S, START.I), 1.0, PlannerParams(L_bar=1.0))[0]
     assert shut_flow == 0.25 * open_flow
 
 
 def test_lockdown_monotonically_suppresses_flow():
-    flows = [-sir_derivatives(START, L, PARAMS)[0]
+    flows = [-_rhs((START.S, START.I), L, PARAMS)[0]
              for L in np.linspace(0.0, PARAMS.L_bar, 8)]
     assert all(a > b for a, b in zip(flows, flows[1:]))
 
@@ -110,14 +103,7 @@ def test_derivatives_conserve_population():
         s, i, r, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
         state = EpidemicState(S=s, I=i, R=r, D=d)
         L = rng.uniform(0.0, PARAMS.L_bar)
-        assert abs(sum(sir_derivatives(state, L, PARAMS))) < 1e-14
-
-
-def test_lockdown_outside_range_rejected():
-    with pytest.raises(ValueError):
-        sir_derivatives(START, -0.01, PARAMS)
-    with pytest.raises(ValueError):
-        sir_derivatives(START, PARAMS.L_bar + 0.01, PARAMS)
+        assert abs(sum(_rhs((state.S, state.I), L, PARAMS))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +123,15 @@ def test_state_requires_unit_mass():
 def test_state_rejects_nan(shares):
     with pytest.raises(ValueError, match="outside"):
         EpidemicState(**shares)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_state_rejects_non_finite_time(t):
+    # t=nan used to give an all-NaN time column and value=nan, and
+    # t=inf a zero discounted death cost beside nonzero deaths.
+    with pytest.raises(ValueError, match=f"^t={t!r} must be finite$"):
+        EpidemicState(S=0.98, I=0.02, t=t)
 
 
 def test_state_clips_roundoff():
@@ -365,5 +360,3 @@ def test_trajectory_indexing():
                                 horizon=0.5, dt=1 / 365)
     assert traj.t[0] == 0.0
     assert traj.t[-1] == pytest.approx(0.5, abs=1e-12)
-    state = traj.state_at(len(traj) - 1)
-    assert state.S == traj.S[-1] and state.t == traj.t[-1]

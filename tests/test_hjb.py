@@ -32,8 +32,6 @@ from epiethics.planner import (
     _row_quantities,
     bellman_residual,
     boundary_value_s_zero,
-    evaluate_policy,
-    flow_cost,
     simulate_optimal,
     solve_value_function,
 )
@@ -131,21 +129,18 @@ def dense_single_control(params, grid, L):
 # ---------------------------------------------------------------------------
 
 def test_flow_cost_examples():
+    # The solver's flow cost is _row_quantities' third entry.
     # Testable recovered (tau = 1): only the S + I share loses output.
-    assert flow_cost(EpidemicState(S=0.6, I=0.0, R=0.4), 0.5, PARAMS) == 0.30
+    assert _row_quantities(0.6, 0.0, 0.5, PARAMS)[2] == 0.30
     # Untestable (tau = 0): the whole population is locked down.
-    assert flow_cost(EpidemicState(S=0.6, I=0.0, R=0.4), 0.5,
-                     PlannerParams(tau=0)) == 0.50
-    assert flow_cost(EpidemicState(S=0.6, I=0.0, R=0.4), 0.0, PARAMS) == 0.0
+    assert _row_quantities(0.6, 0.0, 0.5, PlannerParams(tau=0))[2] == 0.50
+    assert _row_quantities(0.6, 0.0, 0.0, PARAMS)[2] == 0.0
 
 
 def test_flow_cost_includes_death_valuation():
-    state = EpidemicState(S=0.6, I=0.2, R=0.2)
-    got = flow_cost(state, 0.0, PARAMS)
+    got = _row_quantities(0.6, 0.2, 0.0, PARAMS)[2]
     expect = (PARAMS.phi0 + PARAMS.kappa * 0.2) * 0.2 * PARAMS.cost_per_death
     assert got == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(ValueError):
-        flow_cost(state, PARAMS.L_bar + 0.1, PARAMS)
 
 
 def test_boundary_value_closed_form_vs_quadrature():
@@ -202,7 +197,7 @@ def test_no_lockdown_value_matches_forward_simulation():
     # starting point, the discounted cost of simply simulating with no
     # control (first-order grid, hence the 1e-3 tolerance).
     vf, _ = solve_value_function(PARAMS, GridSpec(n_L=2), controls=[0.0])
-    simulated = evaluate_policy(None, PARAMS, START, HORIZON, DT)
+    simulated = simulate_optimal(None, PARAMS, START, HORIZON, DT)[1].value
     assert abs(vf.at(START.S, START.I) - simulated) < 1e-3 * PARAMS.w
 
 
@@ -386,11 +381,12 @@ def test_lockdown_region_shape(bench):
 
 def test_solved_policy_beats_constant_policies(bench):
     vf, pf = bench
-    v_opt = evaluate_policy(pf, PARAMS, START, HORIZON, DT)
+    v_opt = simulate_optimal(pf, PARAMS, START, HORIZON, DT)[1].value
     assert abs(vf.at(START.S, START.I) - v_opt) < 5e-3
     for L in (0.0, 0.2, 0.5, PARAMS.L_bar):
         const = PolicyField.constant(vf.grid, L)
-        v_const = evaluate_policy(const, PARAMS, START, HORIZON, DT)
+        v_const = simulate_optimal(const, PARAMS, START, HORIZON,
+                                   DT)[1].value
         assert vf.at(START.S, START.I) <= v_const + 2e-3 * PARAMS.w
 
 
@@ -427,11 +423,6 @@ def test_control_reduces_deaths(bench):
     _, without = simulate_optimal(None, PARAMS, START, HORIZON, DT)
     assert with_control.total_deaths < without.total_deaths
     assert with_control.value < without.value
-
-
-def test_policy_evaluation_requires_long_horizon():
-    with pytest.raises(ValueError, match="horizon"):
-        evaluate_policy(None, PARAMS, START, horizon=5.0, dt=DT)
 
 
 # ---------------------------------------------------------------------------

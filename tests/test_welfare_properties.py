@@ -1,7 +1,7 @@
 """Property-based tests of the welfare orders.
 
-_criterion_values evaluates many allocations at once, stacking rows of
-equal length; the axiom checkers rely on it giving exactly the value
+_Cases evaluates many allocations at once, stacking rows of equal
+length; the axiom checkers rely on it giving exactly the value
 criterion_value gives one allocation at a time. Every supported order
 also satisfies Suppes-Sen dominance (A3), with or without a power
 transform, on any drawn allocation.
@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiethics.ethics import (Allocation, Ordering, UtilityTransform,
-                              WelfareCriterion, _criterion_values,
-                              _uniform_value, compare, criterion_value,
-                              default_criteria)
+                              WelfareCriterion, _Cases, _uniform_value,
+                              compare, criterion_value, default_criteria)
 
 CRITERIA = default_criteria() + (
     WelfareCriterion("RDCLU", rank_discount=0.5),
@@ -33,7 +32,7 @@ criteria = st.sampled_from(CRITERIA)
 @PROPERTY
 @given(rows=st.lists(populations, min_size=1, max_size=40), crit=criteria)
 def test_batch_equals_one_at_a_time_bit_for_bit(rows, crit):
-    got = _criterion_values(rows, crit)
+    got = _Cases([rows]).values(crit)[0]
     assert got.shape == (len(rows),)
     for row, value in zip(rows, got):
         one = criterion_value(Allocation(tuple(row)), crit)
@@ -46,7 +45,7 @@ def test_value_ignores_the_order_of_the_population(data, row, crit):
     shuffled = data.draw(st.permutations(row))
     value = criterion_value(Allocation(tuple(row)), crit)
     assert criterion_value(Allocation(tuple(shuffled)), crit) == value
-    assert np.all(_criterion_values([row, shuffled], crit) == value)
+    assert np.all(_Cases([[row, shuffled]]).values(crit)[0] == value)
 
 
 @PROPERTY
