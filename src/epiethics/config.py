@@ -120,32 +120,33 @@ def criterion_from_spec(spec: str) -> WelfareCriterion:
     parts = [p.strip() for p in spec.strip().split(":")]
     kind = parts[0]
     kwargs = {}
-    u = None
+    eta = None
+    seen = set()
     for part in parts[1:]:
         if "=" not in part:
             raise ConfigError(f"criterion option {part!r} is not name=value")
         name, _, value = part.partition("=")
         name = name.strip()
         value = value.strip()
+        if name in seen:
+            raise ConfigError(f"repeated criterion option {name!r}")
+        seen.add(name)
         if name == "c":
             kwargs["c"] = _parse_float("criteria", value)
         elif name == "rd":
             kwargs["rank_discount"] = _parse_float("criteria", value)
         elif name == "u":
-            if value == "identity":
-                u = UtilityTransform()
-            elif value.startswith("pow"):
+            if value.startswith("pow"):
                 eta = _parse_float("criteria", value[3:])
-                u = UtilityTransform(kind="power", eta=eta)
-            else:
+            elif value != "identity":
                 raise ConfigError(
                     f"criterion transform {value!r} not recognised "
                     f"(use identity or pow<eta>)")
         else:
             raise ConfigError(f"unknown criterion option {name!r}")
-    if u is not None:
-        kwargs["u"] = u
     try:
+        if eta is not None:
+            kwargs["u"] = UtilityTransform(kind="power", eta=eta)
         return WelfareCriterion(kind, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -818,30 +818,20 @@ def _check_negative_expansion(crit, rng, samples, lo, hi, pop_cap):
     return result
 
 
-# Published classification of these criteria, for side-by-side display:
-# "yes" marks a credited property, "" a blank cell, "-" a cell the
-# published table does not have (no row for TU; existence independence
-# is a single published column, shown beside both A4 and A5; there is
-# no published column at all for A8).
-_REFERENCE_CLASSIFICATION = {
-    "CU": {"utility-independence": "yes", "existence-independence": "yes",
-           "negative-expansion": "yes", "repugnance-avoidance": "yes",
-           "priority-lives-worth-living": ""},
-    "TU": None,
-    "CLU": {"utility-independence": "yes", "existence-independence": "yes",
-            "negative-expansion": "yes", "repugnance-avoidance": "yes",
-            "priority-lives-worth-living": ""},
-    "AU": {"utility-independence": "", "existence-independence": "",
-           "negative-expansion": "", "repugnance-avoidance": "yes",
-           "priority-lives-worth-living": "yes"},
-    "RDCLU": {"utility-independence": "", "existence-independence": "",
-              "negative-expansion": "yes", "repugnance-avoidance": "yes",
-              "priority-lives-worth-living": "yes"},
+# The matrix's properties in column order, and the published
+# classification (Blackorby, Bossert & Donaldson 2005) of each criterion
+# kind, one mark per property: "yes" a credited property, "" a blank
+# cell, "-" a cell the publication lacks. Its one existence-independence
+# column is shown beside both A4 and A5; it has no A8 column and no TU
+# row, and a kind without a row prints "-" throughout.
+_PROPERTIES = ("negative-expansion", "repugnance-avoidance", "A4", "A5",
+               "A8", "utility-independence", "priority-lives-worth-living")
+_PUBLISHED = {
+    "CU": ("yes", "yes", "yes", "yes", "-", "yes", ""),
+    "CLU": ("yes", "yes", "yes", "yes", "-", "yes", ""),
+    "AU": ("", "yes", "", "", "-", "", "yes"),
+    "RDCLU": ("yes", "yes", "", "", "-", "", "yes"),
 }
-
-_PROP_TO_REFERENCE_COLUMN = {"A4": "existence-independence",
-                             "A5": "existence-independence",
-                             "A8": None}
 
 
 @dataclass(frozen=True)
@@ -887,39 +877,22 @@ def property_matrix(criteria, reports, repugnant, budget: int = 500,
     Negative expansion is checked here with `budget` samples, from a
     generator seeded by seed + 1000*i for criteria[i]. Utility
     independence and priority for lives worth living are reported but
-    not machine-checked.
+    not machine-checked. Each cell's published mark is read from the row
+    of _PUBLISHED for the criterion's kind.
     """
     lo, hi = float(level_range[0]), float(level_range[1])
     cells = []
     for ci, (crit, suite, wit) in enumerate(zip(criteria, reports, repugnant,
                                                strict=True)):
-        ref = _REFERENCE_CLASSIFICATION.get(crit.kind)
-
-        def mark(prop):
-            if ref is None:
-                return "-"
-            column = _PROP_TO_REFERENCE_COLUMN.get(prop, prop)
-            if column is None:
-                return "-"
-            return ref.get(column, "")
-
         rng = np.random.default_rng(seed + 1000 * ci)
-        verdict, witness = _check_negative_expansion(crit, rng, budget, lo,
-                                                     hi, pop_cap)
-        cells.append(MatrixCell(crit.label, "negative-expansion", verdict,
-                                witness, mark("negative-expansion")))
-        cells.append(MatrixCell(
-            crit.label, "repugnance-avoidance",
-            "pass" if wit is None else "fail", wit,
-            mark("repugnance-avoidance")))
-
-        by_axiom = {rep.axiom: rep for rep in suite}
-        for axiom in ("A4", "A5", "A8"):
-            rep = by_axiom[axiom]
-            cells.append(MatrixCell(crit.label, axiom, rep.verdict,
-                                    rep.witness, mark(axiom)))
-
+        found = {rep.axiom: (rep.verdict, rep.witness) for rep in suite}
+        found["negative-expansion"] = _check_negative_expansion(
+            crit, rng, budget, lo, hi, pop_cap)
+        found["repugnance-avoidance"] = ("pass" if wit is None else "fail",
+                                         wit)
         for prop in ("utility-independence", "priority-lives-worth-living"):
-            cells.append(MatrixCell(crit.label, prop, "not-machine-checked",
-                                    None, mark(prop)))
+            found[prop] = ("not-machine-checked", None)
+        marks = _PUBLISHED.get(crit.kind, ("-",) * len(_PROPERTIES))
+        for prop, mark in zip(_PROPERTIES, marks, strict=True):
+            cells.append(MatrixCell(crit.label, prop, *found[prop], mark))
     return PropertyMatrix(tuple(cells))

@@ -24,7 +24,7 @@ import scipy
 from . import __version__
 from .config import RunConfig, serialize_config
 from .epidemic import Trajectory
-from .ethics import PropertyMatrix, Witness
+from .ethics import AXIOM_IDS, PropertyMatrix, Witness
 from .planner import PolicyField, ScenarioSummary, ValueField, resolved_tol
 from .sensitivity import SensitivityReport
 
@@ -216,7 +216,7 @@ def write_ethics_csv(path, reports, matrix: PropertyMatrix, searches):
             w.writerow([rep.criterion, rep.axiom, rep.verdict,
                         _witness_text(rep.witness)])
         for cell in matrix.cells:
-            if cell.prop in ("A4", "A5", "A8"):
+            if cell.prop in AXIOM_IDS:
                 continue   # already present via the axiom suite
             w.writerow([cell.criterion, cell.prop, cell.verdict,
                         _witness_text(cell.witness)])

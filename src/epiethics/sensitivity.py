@@ -75,8 +75,15 @@ def death_cost_from_criterion(crit: WelfareCriterion,
     ref = tuple(float(v) for v in reference_pop)
     full = Allocation(ref + (victim.lived + victim.remaining,))
     cut = Allocation(ref + (victim.lived,))
-    gain = criterion_value(full, crit) - criterion_value(cut, crit)
+    # Levels near the float limit overflow the welfare sums; the check
+    # below reports that instead of numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = criterion_value(full, crit) - criterion_value(cut, crit)
     cost = victim.exchange_rate * gain
+    if not math.isfinite(cost):
+        raise ValueError(
+            f"criterion {crit.label} gives a death cost that is not finite "
+            f"({cost!r}) for this reference population")
     if cost < 0.0:
         raise ValueError(
             f"criterion {crit.label} values the remaining life negatively "

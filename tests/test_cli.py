@@ -310,6 +310,12 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
                "ethics", "--criterion", "XU"])
     assert rc == 1
     assert "XU" in capsys.readouterr().err
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+               "ethics", "--criterion", "CU:u=pow1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "eta must lie in (0, 1)" in err
 
 
 def test_nonconvergence_exits_2_without_manifest(tmp_path, capsys):

@@ -129,6 +129,10 @@ def test_criterion_spec_errors():
         criterion_from_spec("CU:u=log")
     with pytest.raises(ConfigError, match="not a number"):
         criterion_from_spec("CLU:c=abc")
+    with pytest.raises(ConfigError, match=r"eta must lie in \(0, 1\)"):
+        criterion_from_spec("CU:u=pow1")
+    with pytest.raises(ConfigError, match="repeated criterion option 'rd'"):
+        criterion_from_spec("RDCLU:c=1:rd=0.5:rd=0.9")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +229,7 @@ REJECTIONS = [
                              "recognised (use identity or pow<eta>)"),
     ("criteria=CLU:c=abc\n", "line 1: criteria: not a number: 'abc'"),
     ("criteria=CU:u=powx\n", "line 1: criteria: not a number: 'x'"),
+    ("criteria=CLU:c=1:c=2\n", "line 1: repeated criterion option 'c'"),
     ("criteria=XU\n", "line 1: unknown criterion kind 'XU'"),
     ("criteria=RDCLU:c=1\n", "line 1: RDCLU needs rank_discount in (0, 1)"),
     ("criteria=TU:c=2\n", "line 1: TU fixes the critical level at 0"),
@@ -376,3 +381,31 @@ def test_serialize_then_parse_is_identity(cfg):
 @given(crit=criteria())
 def test_criterion_spec_inverts_criterion_from_spec(crit):
     assert criterion_from_spec(criterion_spec(crit)) == crit
+
+
+# Tokens of the criterion grammar, valid and not, for the fuzz below.
+_SPEC_KINDS = ("CU", "TU", "CLU", "AU", "RDCLU", "XU", "", " CE ")
+_SPEC_NAMES = ("c", "rd", "u", "d", "", " u ")
+_SPEC_VALUES = ("0", "1", "0.5", "0.9", "-1", "1.5", "1e308", "inf", "nan",
+                "abc", "", "identity", "log", "pow", "pow0.5", "pow1",
+                "pow2", "pow-1", "pownan", "powx")
+
+
+@st.composite
+def criterion_specs(draw):
+    parts = [draw(st.sampled_from(_SPEC_KINDS))]
+    for _ in range(draw(st.integers(0, 4))):
+        parts.append(draw(st.sampled_from(_SPEC_NAMES))
+                     + draw(st.sampled_from(("=", "", "==")))
+                     + draw(st.sampled_from(_SPEC_VALUES)))
+    return ":".join(parts)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(spec=criterion_specs())
+def test_criterion_spec_parses_or_raises_config_error(spec):
+    try:
+        crit = criterion_from_spec(spec)
+    except ConfigError:
+        return
+    assert isinstance(crit, WelfareCriterion)

@@ -383,6 +383,51 @@ def test_matrix_shows_published_marks_without_reconciling(matrix):
     assert cell(matrix, "CU", "A8").reference == "-"
 
 
+# The published classification as the matrix prints it, one mark per
+# property in column order: "yes" credited, "" blank, "-" not in the
+# publication (no TU row, no A8 column).
+MATRIX_PROPERTIES = ("negative-expansion", "repugnance-avoidance", "A4",
+                     "A5", "A8", "utility-independence",
+                     "priority-lives-worth-living")
+PUBLISHED_MARKS = {
+    "CU": ("yes", "yes", "yes", "yes", "-", "yes", ""),
+    "TU": ("-", "-", "-", "-", "-", "-", "-"),
+    "CLU(c=1)": ("yes", "yes", "yes", "yes", "-", "yes", ""),
+    "AU": ("", "yes", "", "", "-", "", "yes"),
+    "RDCLU(c=1,rd=0.9)": ("yes", "yes", "", "", "-", "", "yes"),
+}
+
+
+def _marks(matrix, label):
+    return [(c.prop, c.reference) for c in matrix.cells
+            if c.criterion == label]
+
+
+def test_matrix_prints_the_whole_published_table(matrix):
+    assert [c.criterion for c in matrix.cells[::7]] == list(PUBLISHED_MARKS)
+    for label, marks in PUBLISHED_MARKS.items():
+        assert _marks(matrix, label) == list(zip(MATRIX_PROPERTIES, marks))
+
+
+def _suite(criteria, axioms):
+    return list(zip(*(check_axioms(criteria, axiom, samples=50, seed=0)
+                      for axiom in axioms)))
+
+
+def test_matrix_marks_follow_the_criterion_kind():
+    # A transformed CU is still CU in the published table.
+    crit = WelfareCriterion("CU", u=UtilityTransform("power", 0.5))
+    got = property_matrix([crit], _suite([crit], ("A4", "A5", "A8")), [None],
+                          budget=50)
+    assert _marks(got, crit.label) == list(zip(MATRIX_PROPERTIES,
+                                               PUBLISHED_MARKS["CU"]))
+
+
+def test_matrix_needs_the_suite_a8_report():
+    with pytest.raises(KeyError):
+        property_matrix([CU], _suite([CU], ("A4", "A5")), [None], budget=50)
+
+
 def test_matrix_not_machine_checked_columns(matrix):
     for label in ("CU", "AU"):
         for prop in ("utility-independence", "priority-lives-worth-living"):

@@ -6,6 +6,8 @@ statics live in the acceptance tests.
 
 import logging
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +65,23 @@ def test_default_reference_population_is_small_and_synthetic():
     assert len(DEFAULT_REFERENCE) >= 1
     got = death_cost_from_criterion(WelfareCriterion("CU"))
     assert got == VictimProfile().remaining * VictimProfile().exchange_rate
+
+
+def test_an_overflowing_reference_population_is_an_error():
+    # Welfare sums over levels near the float limit overflow; the cost
+    # is refused by name rather than returned as NaN under a warning.
+    huge = (1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for crit in (WelfareCriterion("CU"), WelfareCriterion("TU"),
+                     WelfareCriterion("CLU", c=1.0), WelfareCriterion("AU")):
+            with pytest.raises(ValueError,
+                               match=rf"{re.escape(crit.label)} .*not finite"):
+                death_cost_from_criterion(crit, huge)
+        rep = run_sensitivity(PARAMS, (WelfareCriterion("CU"),),
+                              reference_pop=huge, grid=SMALL)
+    (row,) = rep.rows
+    assert "not finite" in row.error and math.isnan(row.cost_per_death)
 
 
 def test_victim_profile_validation():
