@@ -21,9 +21,10 @@ from typing import Optional
 
 from .epidemic import (EpidemicState, ParameterError, PlannerParams,
                        stability_bound)
-from .ethics import UtilityTransform, WelfareCriterion, default_criteria
+from .ethics import (UtilityTransform, WelfareCriterion, default_criteria,
+                     level_bound)
 from .planner import GridSpec
-from .sensitivity import VictimProfile
+from .sensitivity import DEFAULT_REFERENCE, VictimProfile
 
 __all__ = [
     "ConfigError",
@@ -67,7 +68,7 @@ class RunConfig:
     pop_cap: int = 8
     level_min: float = -10.0
     level_max: float = 10.0
-    reference_pop: tuple = (50.0, 50.0)
+    reference_pop: tuple = DEFAULT_REFERENCE
     victim: VictimProfile = VictimProfile()
     ladder: tuple = (0.0, 10.0, 20.0, 40.0)
     out_dir: str = "out"
@@ -101,6 +102,13 @@ class RunConfig:
         _check(self.level_min < self.level_max,
                "level_min must be strictly below level_max",
                "level_max", "level_min")
+        bound = level_bound(self.pop_cap)
+        for key in ("level_min", "level_max"):
+            v = getattr(self, key)
+            _check(abs(v) <= bound,
+                   f"{key}={v!r} exceeds the level bound "
+                   f"max_float/(5*pop_cap) = {bound!r} in magnitude",
+                   key, "pop_cap")
         _check(len(self.reference_pop) > 0,
                "reference_pop must list at least one level", "reference_pop")
         _check(all(v >= 0.0 for v in self.ladder),

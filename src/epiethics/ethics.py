@@ -28,6 +28,7 @@ replays the generator to its first failing case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -50,6 +51,7 @@ __all__ = [
     "criterion_value",
     "default_criteria",
     "label_number",
+    "level_bound",
     "property_matrix",
     "replay_witness",
     "repugnant_witness",
@@ -204,6 +206,14 @@ def default_criteria() -> tuple:
     )
 
 
+def _rank_weights(n: int, crit: WelfareCriterion):
+    """Weight of each ascending rank r = 1..n: rank_discount**r under
+    RDCLU, 1 under every other kind."""
+    if crit.kind != "RDCLU":
+        return 1.0
+    return crit.rank_discount ** np.arange(1, n + 1, dtype=float)
+
+
 def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
     """Welfare of each row of a (k, n) array of levels sorted ascending.
 
@@ -216,9 +226,7 @@ def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
     n = levels.shape[1]
     gains = crit.u(levels) - float(crit.u(crit.c))
     if crit.kind == "RDCLU":
-        # ascending rank r = 1..n gets weight rank_discount**r
-        ranks = np.arange(1, n + 1, dtype=float)
-        gains = crit.rank_discount ** ranks * gains
+        gains = _rank_weights(n, crit) * gains
     total = np.sum(gains, axis=1)
     return total / n if crit.kind == "AU" else total
 
@@ -258,6 +266,21 @@ def criterion_value(x: Allocation, crit: WelfareCriterion) -> float:
     exactly invariant under permutations.
     """
     return float(_welfare(np.sort([x.levels]), crit)[0])
+
+
+def _value_error_bound(x: Allocation, crit: WelfareCriterion) -> float:
+    """Bound on the rounding error of criterion_value(x, crit).
+
+    Each of the n terms w_r*(u(x) - u(c)) is formed with a few roundings
+    of w_r*(|u(x)| + |u(c)|), and summing them adds at most n - 1 more,
+    as does averaging under AU: (n + 4)*eps covers both twice over.
+    """
+    levels = np.sort([x.levels])
+    n = levels.shape[1]
+    scale = float(np.sum(_rank_weights(n, crit) * (
+        np.abs(crit.u(levels)) + abs(crit.u(crit.c)))))
+    return (n + 4) * np.finfo(float).eps * (
+        scale / n if crit.kind == "AU" else scale)
 
 
 def _uniform_value(level: float, n, crit: WelfareCriterion):
@@ -629,6 +652,20 @@ _PER_CRITERION_CHECKERS = {
 }
 
 
+def level_bound(pop_cap: int) -> float:
+    """Largest |level| the axiom checks accept at a population cap.
+
+    A7 brackets its egalitarian level in [lo - 2*span, hi + 2*span],
+    with span = hi - lo, so at most 5 times the largest |level|, and
+    values up to pop_cap copies of it; within the bound that value, and
+    every other sum the checks form, stays finite. No level is within
+    the bound of a cap beyond the float range.
+    """
+    if pop_cap >= sys.float_info.max:
+        return 0.0
+    return sys.float_info.max / 5 / pop_cap
+
+
 def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
                  pop_cap: int = 8, level_range=(-10.0, 10.0)) -> list:
     """Randomized check of one axiom A1-A8 against several criteria.
@@ -660,6 +697,10 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     lo, hi = float(level_range[0]), float(level_range[1])
     if not lo < hi:
         raise ValueError("level range must be nondegenerate")
+    bound = level_bound(pop_cap)
+    if max(-lo, hi) > bound:
+        raise ValueError(f"level range {(lo, hi)!r} exceeds the level bound "
+                         f"max_float/(5*pop_cap) = {bound!r} in magnitude")
     criteria = tuple(criteria)
     if axiom in _PER_CRITERION_CHECKERS:
         check = _PER_CRITERION_CHECKERS[axiom]

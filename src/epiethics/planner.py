@@ -248,7 +248,11 @@ class ValueField(_GridField):
 
 @dataclass(frozen=True)
 class PolicyField(_GridField):
-    """Optimal lockdown L on the grid; every entry in [0, L_bar]."""
+    """Lockdown L on the grid; every entry is checked to lie in [0, 1].
+
+    A field holds no params, so it cannot check the tighter [0, L_bar]
+    that the solver's policies keep.
+    """
 
     grid: GridSpec
     lockdown: np.ndarray

@@ -14,13 +14,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, _require
-from .ethics import (Allocation, WelfareCriterion, criterion_value,
-                     label_number)
+from .ethics import (Allocation, WelfareCriterion, _value_error_bound,
+                     criterion_value, label_number)
 # solve_value_function is not called here: perfbench/spans.py swaps this
 # module's binding of it for a traced wrapper, so the name stays bound.
 from .planner import (GridSpec, PolicyField, simulate_optimal,  # noqa: F401
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_REFERENCE = (50.0, 50.0)
+# A derived death cost is refused when rounding in the two welfare sums
+# may move it by more than this share of itself.
+DEATH_COST_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,20 +74,31 @@ def death_cost_from_criterion(crit: WelfareCriterion,
     Computes W(reference_pop + victim at lived+remaining) minus
     W(reference_pop + victim at lived) and converts with the exchange
     rate. The reference population pins down size-sensitive criteria
-    (AU, RDCLU); sum-type criteria are unaffected by it.
+    (AU, RDCLU); sum-type criteria are unaffected by it. A cost that is
+    not finite, that rounding in the two welfare sums may move by more
+    than DEATH_COST_RTOL of the gain, or that is negative raises
+    ValueError naming the criterion.
     """
     ref = tuple(float(v) for v in reference_pop)
     full = Allocation(ref + (victim.lived + victim.remaining,))
     cut = Allocation(ref + (victim.lived,))
-    # Levels near the float limit overflow the welfare sums; the check
-    # below reports that instead of numpy's warning.
+    # Levels near the float limit overflow the welfare sums; the checks
+    # below report that instead of numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         gain = criterion_value(full, crit) - criterion_value(cut, crit)
+        slack = _value_error_bound(full, crit) + _value_error_bound(cut, crit)
     cost = victim.exchange_rate * gain
     if not math.isfinite(cost):
         raise ValueError(
             f"criterion {crit.label} gives a death cost that is not finite "
             f"({cost!r}) for this reference population")
+    # A victim with nothing left to live loses exactly nothing.
+    if victim.remaining > 0.0 and slack > DEATH_COST_RTOL * abs(gain):
+        raise ValueError(
+            f"criterion {crit.label} loses the death cost to rounding at "
+            f"this reference population: the welfare sums may be off by "
+            f"{slack:.3g}, more than {DEATH_COST_RTOL:g} of the gain "
+            f"{gain!r}")
     if cost < 0.0:
         raise ValueError(
             f"criterion {crit.label} values the remaining life negatively "
@@ -133,12 +148,6 @@ def _scenario(label: str, params: PlannerParams, policy: PolicyField,
                           value=summary.value)
 
 
-def _failed(label: str, cost: float, exc: Exception):
-    logger.warning("scenario %s failed: %s", label, exc)
-    return SensitivityRow(label=label, cost_per_death=cost,
-                          error=str(exc)), None
-
-
 def _priced(params: PlannerParams, cost: float):
     # params at this death cost, or the ValueError rejecting the cost.
     try:
@@ -157,24 +166,25 @@ def run_sensitivity(params: PlannerParams, criteria,
                     max_iters: int = 500) -> SensitivityReport:
     """Solve the planner problem once per distinct death cost.
 
-    Every cost is derived first; the distinct valid ones, the baseline's
-    params.cost_per_death first, are then solved together by one
-    solve_stacked call, and the rows are walked in order. The baseline's
-    solver failure propagates. Criterion and ladder rows of equal cost
-    share one solve and simulation under their own labels; one INFO line
-    per simulated cost names the scenarios that shared it. A criterion
-    or ladder scenario whose cost cannot be derived or is rejected
-    (ValueError), or whose solve fails (SolverConvergenceError,
-    SolverNumericalError), is recorded with its error message, and its
-    warning logged, when the walk reaches it; any other error
-    propagates. The report also carries the pairwise sup-norm distance
-    between the criterion policies.
+    The scenarios are the baseline ("benchmark", at
+    params.cost_per_death), then the criteria, then the ladder. Every
+    cost is derived first; the distinct valid ones, in first-use order,
+    are then solved together by one solve_stacked call, and the
+    scenarios are walked once, in order. The baseline's solver failure
+    propagates before the walk. Scenarios of equal cost share one solve
+    and simulation under their own labels; one INFO line per simulated
+    cost names the scenarios that shared it. A criterion or ladder
+    scenario whose cost cannot be derived or is rejected (ValueError),
+    or whose solve fails (SolverConvergenceError, SolverNumericalError),
+    is recorded with its error message, and its warning logged, when the
+    walk reaches it; any other error propagates. The report also carries
+    the pairwise sup-norm distance between the criterion policies.
     """
     if state0 is None:
         state0 = EpidemicState(S=0.98, I=0.02)
 
     # (label, cost, params at that cost or the ValueError ruling it out)
-    scenarios = []
+    scenarios = [("benchmark", params.cost_per_death, params)]
     for crit in criteria:
         try:
             cost = death_cost_from_criterion(crit, reference_pop, victim)
@@ -182,59 +192,45 @@ def run_sensitivity(params: PlannerParams, criteria,
             scenarios.append((crit.label, math.nan, exc))
         else:
             scenarios.append((crit.label, cost, _priced(params, cost)))
-    n_criteria = len(scenarios)
+    n = len(scenarios)
     for cost in ladder:
         cost = float(cost)
         scenarios.append((f"fixed:{label_number(cost)}", cost,
                           _priced(params, cost)))
 
-    costs = list(dict.fromkeys(
-        [params.cost_per_death]
-        + [cost for _, cost, p in scenarios
-           if isinstance(p, PlannerParams)]))
+    costs = list(dict.fromkeys(cost for _, cost, p in scenarios
+                               if isinstance(p, PlannerParams)))
     # Each cost's policy or solver failure; the value fields are dropped.
     solved = {cost: out if isinstance(out, Exception) else out[1]
               for cost, out in zip(costs, solve_stacked(
                   params, grid, costs, tol=tol, max_iters=max_iters))}
-    outcomes = {}    # cost -> (row, policy), simulated once per cost
-    shared = {}      # cost -> labels of the scenarios given its outcome
-
-    def outcome(label, cost, priced):
-        if isinstance(priced, Exception):
-            return _failed(label, cost, priced)
-        policy = solved[cost]
-        if isinstance(policy, Exception):
-            return _failed(label, cost, policy)
-        if cost not in outcomes:
-            outcomes[cost] = (_scenario(label, priced, policy, state0,
-                                        horizon, dt), policy)
-        shared.setdefault(cost, []).append(label)
-        row, policy = outcomes[cost]
-        return replace(row, label=label), policy
-
     if isinstance(solved[params.cost_per_death], Exception):
         raise solved[params.cost_per_death]
-    baseline, _ = outcome("benchmark", params.cost_per_death, params)
 
-    walked = [outcome(*scenario) for scenario in scenarios]
-    for cost, labels in shared.items():
+    rows, policies = [], []
+    simulated = {}    # cost -> (its row, the labels sharing it)
+    for label, cost, priced in scenarios:
+        policy = priced if isinstance(priced, Exception) else solved[cost]
+        if isinstance(policy, Exception):
+            logger.warning("scenario %s failed: %s", label, policy)
+            rows.append(SensitivityRow(label=label, cost_per_death=cost,
+                                       error=str(policy)))
+            policies.append(None)
+            continue
+        if cost not in simulated:
+            simulated[cost] = (_scenario(label, priced, policy, state0,
+                                         horizon, dt), [])
+        row, labels = simulated[cost]
+        labels.append(label)
+        rows.append(replace(row, label=label))
+        policies.append(policy)
+    for cost, (_, labels) in simulated.items():
         logger.info("cost %.12g shared by %s", cost, ", ".join(labels))
-    rows = [row for row, _ in walked[:n_criteria]]
-    policies = [(row.label, policy) for row, policy in walked[:n_criteria]]
 
-    diffs = []
-    for a in range(len(policies)):
-        for b in range(a + 1, len(policies)):
-            la, pa = policies[a]
-            lb, pb = policies[b]
-            if pa is None or pb is None:
-                diffs.append((la, lb, math.nan))
-            else:
-                diffs.append((la, lb, float(np.max(np.abs(
-                    pa.lockdown - pb.lockdown)))))
-
-    return SensitivityReport(baseline=baseline, rows=tuple(rows),
-                             ladder=tuple(row for row, _ in
-                                          walked[n_criteria:]),
-                             policy_diffs=tuple(diffs))
-
+    diffs = tuple(
+        (ra.label, rb.label, math.nan if pa is None or pb is None
+         else float(np.max(np.abs(pa.lockdown - pb.lockdown))))
+        for (ra, pa), (rb, pb) in combinations(
+            zip(rows[1:n], policies[1:n]), 2))
+    return SensitivityReport(baseline=rows[0], rows=tuple(rows[1:n]),
+                             ladder=tuple(rows[n:]), policy_diffs=diffs)

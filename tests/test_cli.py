@@ -198,6 +198,43 @@ def test_ethics_judges_each_property_once(tmp_path, monkeypatch):
     assert len(cells) == 15 and cells == suite
 
 
+def test_every_stored_fail_witness_replays(tmp_path, monkeypatch):
+    # Every fail witness an ethics run writes, in the axiom suite, the
+    # property matrix and the conclusion searches, fails again when
+    # replayed against its criterion.
+    import epiethics.cli as cli
+    from epiethics.config import parse_config
+    from epiethics.ethics import AxiomReport, replay_witness
+
+    written = {}
+    real_write = cli.write_ethics_csv
+
+    def capture(path, reports, matrix, searches):
+        written.update(reports=reports, matrix=matrix, searches=searches)
+        real_write(path, reports, matrix, searches)
+
+    monkeypatch.setattr(cli, "write_ethics_csv", capture)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "ethics"]) == 0
+    by_label = {c.label: c for c in parse_config(cfg.read_text()).criteria}
+    stored = [(r.criterion, r.axiom, r.witness) for r in written["reports"]
+              if r.verdict == "fail"]
+    stored += [(c.criterion, c.prop, c.witness)
+               for c in written["matrix"].cells if c.verdict == "fail"]
+    stored += [(label, name, wit) for label, name, _, wit
+               in written["searches"] if wit is not None]
+    for label, name, wit in stored:
+        report = AxiomReport(name, label, 0, "fail", wit)
+        assert replay_witness(by_label[label], report), (label, name)
+    kinds = {(label, wit.kind) for label, _, wit in stored}
+    assert kinds >= {("CU", "repugnant"), ("TU", "repugnant"),
+                     ("CLU(c=1)", "very-sadistic"),
+                     ("RDCLU(c=1,rd=0.9)", "very-sadistic"),
+                     ("AU", "negative-expansion")}
+    assert {"independence", "same-number"} <= {kind for _, kind in kinds}
+
+
 def test_ethics_single_criterion_flag(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -321,12 +358,14 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
 def test_nonconvergence_exits_2_without_manifest(tmp_path, capsys):
     cfg = tmp_path / "hard.cfg"
     cfg.write_text("n_S=20\nn_I=20\nn_L=5\nmax_iters=1\n")
-    out = tmp_path / "out"
-    rc = main(["--config", str(cfg), "--out", str(out), "solve"])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        "solver failure:")
-    assert not (out / "run_manifest").exists()
+    # The sweep's baseline solve fails like the others: no row absorbs it.
+    for command in ("solve", "simulate", "sensitivity"):
+        out = tmp_path / command
+        rc = main(["--config", str(cfg), "--out", str(out), command])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "solver failure:")
+        assert not (out / "run_manifest").exists()
 
 
 # ---------------------------------------------------------------------------

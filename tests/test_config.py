@@ -288,6 +288,13 @@ REJECTIONS = [
      "line 1: level_min must be strictly below level_max"),
     ("level_max=-20\n", "line 1: level_min must be strictly below level_max"),
     ("level_min=20\n", "line 1: level_min must be strictly below level_max"),
+    # The level bound at the default pop_cap of 8: max_float/40.
+    ("level_min=-1e308\nlevel_max=1e308\n",
+     "line 1: level_min=-1e+308 exceeds the level bound max_float/(5*pop_cap)"
+     " = 4.4942328371557894e+306 in magnitude"),
+    ("level_max=1e307\nlevel_min=-1e307\n",
+     "line 2: level_min=-1e+307 exceeds the level bound max_float/(5*pop_cap)"
+     " = 4.4942328371557894e+306 in magnitude"),
     ("reference_pop=\n", "line 1: reference_pop must list at least one level"),
     ("victim_remaining=-2\n", "line 1: remaining must be non-negative"),
     ("exchange_rate=0\n", "line 1: exchange_rate must be strictly positive"),

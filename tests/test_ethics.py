@@ -6,6 +6,8 @@ randomized checkers are exercised with fixed seeds so every verdict and
 witness is reproducible.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from epiethics.ethics import (
     compare,
     criterion_value,
     default_criteria,
+    level_bound,
     property_matrix,
     replay_witness,
     repugnant_witness,
@@ -277,6 +280,23 @@ def test_checker_input_validation():
         check_axiom(CU, "A1", samples=0)
     with pytest.raises(ValueError, match="pop_cap"):
         check_axiom(CU, "A1", pop_cap=1)
+
+
+def test_level_range_is_bounded_by_the_a7_bracket():
+    # Within the bound every check runs without an overflow, even at the
+    # bound itself; beyond it the range is refused before any draw.
+    bound = level_bound(8)
+    assert bound == np.finfo(float).max / 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axiom in AXIOM_IDS:
+            check_axioms(ALL, axiom, samples=40, pop_cap=8,
+                         level_range=(-bound, bound))
+    for wide in ((-1e307, 1e307), (-1e308, 1e308), (-1.0, 2 * bound)):
+        with pytest.raises(ValueError, match="exceeds the level bound"):
+            check_axiom(CU, "A7", pop_cap=8, level_range=wide)
+    assert level_bound(16) == bound / 2
+    assert level_bound(10 ** 400) == 0.0
 
 
 def test_report_line_is_readable():

@@ -9,15 +9,19 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epiethics import EpidemicState, PlannerParams
 from epiethics.ethics import WelfareCriterion, default_criteria
 from epiethics.planner import (GridSpec, SolverConvergenceError,
                                solve_value_function)
 from epiethics.sensitivity import (
+    DEATH_COST_RTOL,
     DEFAULT_REFERENCE,
     VictimProfile,
     death_cost_from_criterion,
@@ -82,6 +86,82 @@ def test_an_overflowing_reference_population_is_an_error():
                               reference_pop=huge, grid=SMALL)
     (row,) = rep.rows
     assert "not finite" in row.error and math.isnan(row.cost_per_death)
+
+
+def _exact_cost(crit, reference_pop, victim):
+    # death_cost_from_criterion in rational arithmetic, identity u only.
+    def welfare(levels):
+        gains = [v - Fraction(crit.c) for v in sorted(levels)]
+        if crit.kind == "RDCLU":
+            gains = [Fraction(crit.rank_discount) ** r * g
+                     for r, g in enumerate(gains, start=1)]
+        return sum(gains) / len(gains) if crit.kind == "AU" else sum(gains)
+
+    ref = [Fraction(v) for v in reference_pop]
+    lived = Fraction(victim.lived)
+    return Fraction(victim.exchange_rate) * (
+        welfare(ref + [lived + Fraction(victim.remaining)])
+        - welfare(ref + [lived]))
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def identity_criteria(draw):
+    kind = draw(st.sampled_from(("CU", "TU", "CLU", "AU", "RDCLU")))
+    c = draw(_finite(0.0, 1e3)) if kind in ("CLU", "RDCLU") else 0.0
+    rd = draw(_finite(0.01, 0.99)) if kind == "RDCLU" else 0.0
+    return WelfareCriterion(kind, c=c, rank_discount=rd)
+
+
+LEVELS = st.one_of(_finite(-1e3, 1e3), _finite(-1e308, 1e308),
+                   st.sampled_from((50.0, 1e6, 1e15, 1e16, 1e17, -1e17,
+                                    1e300, 1e308)))
+RD = WelfareCriterion("RDCLU", c=1.0, rank_discount=0.9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(crit=identity_criteria(),
+       reference_pop=st.lists(LEVELS, min_size=1, max_size=8).map(tuple),
+       victim=st.builds(VictimProfile, LEVELS, _finite(0.0, 1e3),
+                        _finite(0.01, 100.0)))
+@example(crit=WelfareCriterion("AU"), reference_pop=(1e15, 1e15),
+         victim=VictimProfile())
+@example(crit=RD, reference_pop=(1e16, 1e16), victim=VictimProfile())
+@example(crit=WelfareCriterion("CU"), reference_pop=(1e17, 1e17),
+         victim=VictimProfile())
+@example(crit=RD, reference_pop=(1e308, 1e308), victim=VictimProfile())
+def test_a_derived_death_cost_is_exact_to_its_tolerance_or_refused(
+        crit, reference_pop, victim):
+    # An accepted cost is within DEATH_COST_RTOL of the exact one, up to
+    # the last roundings of the difference and the exchange rate.
+    exact = _exact_cost(crit, reference_pop, victim)
+    try:
+        got = death_cost_from_criterion(crit, reference_pop, victim)
+    except ValueError:
+        return
+    assert abs(Fraction(got) - exact) <= \
+        2 * Fraction(DEATH_COST_RTOL) * abs(exact)
+
+
+def test_a_cost_lost_to_rounding_is_an_error_row():
+    # At 1e16 the reference terms drown the victim's gain: AU would give
+    # 7 and RDCLU 16 instead of 6.67 and 18.
+    rep = run_sensitivity(PARAMS, default_criteria(),
+                          reference_pop=(1e16, 1e16), grid=SMALL)
+    for row in rep.rows:
+        assert "to rounding" in row.error and math.isnan(row.cost_per_death)
+    assert rep.baseline.ok
+
+
+def test_no_remaining_life_costs_exactly_nothing():
+    # The two allocations are one, so their difference is exactly 0 at
+    # any reference level, however large its rounding bound.
+    victim = VictimProfile(lived=30.0, remaining=0.0)
+    for crit in default_criteria():
+        assert death_cost_from_criterion(crit, (1e16, 1e16), victim) == 0.0
 
 
 def test_victim_profile_validation():
@@ -177,6 +257,26 @@ def test_failed_rows_are_recorded_and_skipped(monkeypatch):
     assert math.isnan(au_row.peak_L)
     # The missing policy propagates as a NaN distance, not a crash.
     assert math.isnan(rep.policy_diffs[0][2])
+
+
+def test_a_failed_baseline_solve_propagates_before_any_row(monkeypatch,
+                                                          caplog):
+    from epiethics import sensitivity as mod
+
+    real = mod.solve_stacked
+
+    def flaky(params, grid, costs, **kw):
+        # Only the baseline's cost fails to converge.
+        return [SolverConvergenceError("induced failure", residual=1.0, row=1)
+                if cost == PARAMS.cost_per_death else out
+                for cost, out in zip(costs, real(params, grid, costs, **kw))]
+
+    monkeypatch.setattr(mod, "solve_stacked", flaky)
+    with caplog.at_level(logging.WARNING, logger="epiethics.sensitivity"), \
+            pytest.raises(SolverConvergenceError, match="induced failure"):
+        run_sensitivity(PARAMS, (WelfareCriterion("AU"),), grid=SMALL,
+                        ladder=(0.0,))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_only_cost_and_solver_failures_become_rows(monkeypatch):
