@@ -21,8 +21,8 @@ from typing import Optional
 
 from .epidemic import (EpidemicState, ParameterError, PlannerParams,
                        stability_bound)
-from .ethics import (UtilityTransform, WelfareCriterion, default_criteria,
-                     level_bound)
+from .ethics import (POP_CAP_MAX, UtilityTransform, WelfareCriterion,
+                     default_criteria, level_bound)
 from .planner import GridSpec
 from .sensitivity import DEFAULT_REFERENCE, VictimProfile
 
@@ -99,6 +99,8 @@ class RunConfig:
         _check(self.samples >= 1, "samples must be at least 1", "samples")
         _check(self.seed >= 0, "seed must be >= 0", "seed")
         _check(self.pop_cap >= 2, "pop_cap must be at least 2", "pop_cap")
+        _check(self.pop_cap <= POP_CAP_MAX,
+               f"pop_cap must be at most {POP_CAP_MAX}", "pop_cap")
         _check(self.level_min < self.level_max,
                "level_min must be strictly below level_max",
                "level_max", "level_min")

@@ -222,10 +222,12 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     control(S, I, R, D, t) gives the lockdown as a float. It is called at
     every RK4 stage and once more for the lockdown reported at the final
-    sample; every value must lie in [0, L_bar]. A start state with a
-    compartment more than 1e-12 outside [0, 1], or NaN, raises
-    IntegrationError before the first control call, as does a step that
-    takes one there; smaller excursions of a step are clipped.
+    sample. Every value must lie in [0, L_bar], unchecked here:
+    integrate_trajectory checks a caller's control and simulate_optimal
+    clamps its own. A start state with a compartment more than 1e-12
+    outside [0, 1], or NaN, raises IntegrationError before the first
+    control call, as does a step that takes one there; smaller
+    excursions of a step are clipped.
 
     The loop also integrates the two discounted flow costs with the same
     RK4 weights: exp(-(r+nu)t) times _lockdown_loss, and exp(-(r+nu)t)
@@ -242,11 +244,8 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     positive and finite; NaN is refused by name. Samples go into four
     1-D columns, one per compartment, which the Trajectory keeps.
 
-    Per step the loop avoids calls: each stage's lockdown guard is
-    _check_lockdown's own comparison, written inline, and calls the
-    check only to raise its error (NaN fails the comparison too); the
-    [0, 1] clips are comparisons. x < 0.0 -> 0.0, x > 1.0 -> 1.0 is
-    exactly min(max(x, 0.0), 1.0): max returns its first argument
+    The [0, 1] clips are comparisons: x < 0.0 -> 0.0, x > 1.0 -> 1.0 is
+    exactly min(max(x, 0.0), 1.0), as max returns its first argument
     unless the second compares greater, so both keep a -0.0, and the
     step's range check rejects a NaN before the clip.
     """
@@ -285,7 +284,6 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
             f"{[S, I, R, D]}")
     price = params.death_price
     rho = params.discount_rate
-    L_bar = params.L_bar
     # Looked up once per call, not per stage; still the one home of each.
     rhs, loss = _rhs, _lockdown_loss
     exp = math.exp
@@ -296,28 +294,19 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         half = 0.5 * h
         t_mid = t + half
         t_end = t + h
-        # Each guard calls _check_lockdown only to raise its error.
         L1 = control(S, I, R, D, t)
-        if not 0.0 <= L1 <= L_bar:
-            _check_lockdown(L1, params)
         dS1, dI1, dR1, dD1 = rhs((S, I), L1, params)
         S2, I2 = S + half * dS1, I + half * dI1
         R2, D2 = R + half * dR1, D + half * dD1
         L2 = control(S2, I2, R2, D2, t_mid)
-        if not 0.0 <= L2 <= L_bar:
-            _check_lockdown(L2, params)
         dS2, dI2, dR2, dD2 = rhs((S2, I2), L2, params)
         S3, I3 = S + half * dS2, I + half * dI2
         R3, D3 = R + half * dR2, D + half * dD2
         L3 = control(S3, I3, R3, D3, t_mid)
-        if not 0.0 <= L3 <= L_bar:
-            _check_lockdown(L3, params)
         dS3, dI3, dR3, dD3 = rhs((S3, I3), L3, params)
         S4, I4 = S + h * dS3, I + h * dI3
         R4, D4 = R + h * dR3, D + h * dD3
         L4 = control(S4, I4, R4, D4, t_end)
-        if not 0.0 <= L4 <= L_bar:
-            _check_lockdown(L4, params)
         dS4, dI4, dR4, dD4 = rhs((S4, I4), L4, params)
 
         sixth = h / 6.0
@@ -370,7 +359,6 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     # Lockdown that would apply at the final sample.
     L_end = control(S, I, R, D, t)
-    _check_lockdown(L_end, params)
     Ls_out[n] = L_end
 
     traj = Trajectory(t=ts, S=cols[0], I=cols[1], R=cols[2], D=cols[3],
@@ -395,7 +383,9 @@ def integrate_trajectory(state0: EpidemicState, control,
     with the discounted costs it accumulates discarded.
     """
     def stage_control(S, I, R, D, t):
-        return float(control(EpidemicState._unchecked(S, I, R, D, t), t))
+        L = float(control(EpidemicState._unchecked(S, I, R, D, t), t))
+        _check_lockdown(L, params)
+        return L
 
     traj, _ = _integrate(state0, stage_control, params, horizon, dt)
     return traj

@@ -652,6 +652,12 @@ _PER_CRITERION_CHECKERS = {
 }
 
 
+# The largest population cap the checks accept: population sizes are
+# drawn with rng.integers(1, pop_cap + 1), whose largest value, pop_cap,
+# must fit in an int64.
+POP_CAP_MAX = int(np.iinfo(np.int64).max)
+
+
 def level_bound(pop_cap: int) -> float:
     """Largest |level| the axiom checks accept at a population cap.
 
@@ -694,6 +700,8 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
         raise ValueError("samples must be at least 1")
     if pop_cap < 2:
         raise ValueError("pop_cap must be at least 2")
+    if pop_cap > POP_CAP_MAX:
+        raise ValueError(f"pop_cap must be at most {POP_CAP_MAX}")
     lo, hi = float(level_range[0]), float(level_range[1])
     if not lo < hi:
         raise ValueError("level range must be nondegenerate")

@@ -678,35 +678,29 @@ class ScenarioSummary:
         return [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
 
 
-def _policy_controller(policy: PolicyField | None, params: PlannerParams):
-    """The closed-loop control of _integrate: control(S, I, R, D, t) -> L.
-
-    L is the policy field's bilinear interpolation at (S, I), read in
-    place from the field and clamped to [0, L_bar], so every stage passes
-    the integrator's range check; None gives no lockdown. It depends on
-    S and I only. A state in a cell whose four corners are +0.0 gets
-    L = 0.0 without interpolating, which is exact (see _bilinear); 98.75%
-    of the stage controls of the benchmark cost-20 loop do. Its
-    arithmetic is otherwise that of the interpolation on numpy scalars,
-    operation for operation, so simulations equal the array reference in
-    tests/test_rk4_reference.py bit for bit.
-    """
-    if policy is None:
-        return lambda S, I, R, D, t: 0.0
-    return _bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
-
-
 def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
                      state0: EpidemicState, horizon: float,
                      dt: float):
     """Closed-loop simulation under a solved policy (None = no control).
 
-    Returns (Trajectory, ScenarioSummary). The lockdown applied at each
-    state is the bilinear interpolation of the policy field, clamped to
-    [0, L_bar] (_policy_controller). The one RK4 loop, _integrate, also
-    accumulates the discounted lockdown output loss and death cost.
+    Returns (Trajectory, ScenarioSummary). The lockdown at each state is
+    the policy field's bilinear interpolation at (S, I), read in place
+    and clamped to [0, L_bar] (_bilinear), or 0.0 for None. _integrate
+    does not check that range; it holds by construction. A PolicyField
+    is finite (its constructor checks) and _integrate rejects a NaN
+    state before the control reads it (a NaN stage point would fail
+    _bilinear's int()), so the final min(max(x, 0.0), L_bar) lands in
+    [0, L_bar]. A state in a cell whose four corners are +0.0 gets
+    L = 0.0 without interpolating, which is exact; 98.75% of the stage
+    controls of the benchmark cost-20 loop do. The arithmetic is
+    otherwise that of the interpolation on numpy scalars, operation for
+    operation, so simulations equal the array reference in
+    tests/test_rk4_reference.py bit for bit. The one RK4 loop,
+    _integrate, also accumulates the discounted lockdown output loss and
+    death cost.
     """
-    control = _policy_controller(policy, params)
+    control = (_bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
+               if policy is not None else lambda S, I, R, D, t: 0.0)
     traj, (gdp_loss, death_cost) = _integrate(state0, control, params,
                                               horizon, dt)
     locked = traj.L > LOCKDOWN_THRESHOLD

@@ -282,6 +282,9 @@ REJECTIONS = [
     ("samples=0\n", "line 1: samples must be at least 1"),
     ("seed=-1\n", "line 1: seed must be >= 0"),
     ("pop_cap=1\n", "line 1: pop_cap must be at least 2"),
+    # rng.integers(1, pop_cap + 1) draws sizes as int64.
+    ("pop_cap=9223372036854775808\n",
+     "line 1: pop_cap must be at most 9223372036854775807"),
     ("level_min=4\nlevel_max=-4\n",
      "line 2: level_min must be strictly below level_max"),
     ("level_max=-4\nlevel_min=4\n",

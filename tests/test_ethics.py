@@ -280,6 +280,8 @@ def test_checker_input_validation():
         check_axiom(CU, "A1", samples=0)
     with pytest.raises(ValueError, match="pop_cap"):
         check_axiom(CU, "A1", pop_cap=1)
+    with pytest.raises(ValueError, match="pop_cap"):
+        check_axiom(CU, "A1", pop_cap=2 ** 63)
 
 
 def test_level_range_is_bounded_by_the_a7_bracket():

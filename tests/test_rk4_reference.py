@@ -214,3 +214,28 @@ def test_bilinear_clamps_match_min_max_form(S, I):
     want = reference_policy_control(policy, PARAMS)(
         EpidemicState._unchecked(S, I, 0.0, 0.0, 0.0), 0.0)
     assert same_bits(got, want), (S, I, got, want)
+
+
+# Field entries anywhere in [0, 1], PolicyField's own range: both zeros,
+# L_bar and the floats beside it, and entries above it, which the clamp
+# must cut back.
+ENTRY = st.one_of(st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, -0.0, 1.0, PARAMS.L_bar,
+                                   math.nextafter(PARAMS.L_bar, 0.0),
+                                   math.nextafter(PARAMS.L_bar, 1.0)]))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGES))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 6), st.integers(3, 6), st.data(), FINITE, FINITE)
+def test_closed_loop_control_lies_in_range(n_S, n_I, data, S, I):
+    # simulate_optimal's control is not range-checked by the RK4 loop:
+    # for any finite policy field and any finite point, inside the unit
+    # square or not, the clamped interpolation lies in [0, L_bar].
+    entries = data.draw(st.lists(ENTRY, min_size=n_S * n_I,
+                                 max_size=n_S * n_I))
+    policy = PolicyField(GridSpec(n_S=n_S, n_I=n_I, n_L=11),
+                         np.array(entries).reshape(n_S, n_I))
+    L = _bilinear(policy.grid, policy.lockdown, 0.0, PARAMS.L_bar)(S, I)
+    assert 0.0 <= L <= PARAMS.L_bar, (S, I, L)
