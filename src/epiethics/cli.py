@@ -4,7 +4,8 @@ Subcommands: solve (grid solve, exports value/policy fields), simulate
 (closed-loop trajectory), ethics (axiom suite, property matrix and
 conclusion witness searches), sensitivity (criterion-derived and fixed
 death-cost ladder). Exit codes: 0 success, 1 configuration error,
-2 solver non-convergence.
+2 solver failure: non-convergence, a non-finite value, or a state
+leaving [0, 1].
 """
 
 from __future__ import annotations

@@ -103,6 +103,9 @@ class PlannerParams:
         _require(self.cost_per_death >= 0.0,
                  "cost_per_death must be non-negative", "cost_per_death")
         _require(self.chi >= 0.0, "chi must be non-negative", "chi")
+        _require(math.isfinite(self.death_price),
+                 "cost_per_death + chi must be finite",
+                 "cost_per_death", "chi")
 
     @property
     def discount_rate(self) -> float:

@@ -43,8 +43,11 @@ scenario axis, and each policy-iteration step solves the rows of all
 unconverged scenarios as one block-diagonal tridiagonal system whose
 couplings across blocks are exact zeros. A scenario stops iterating at
 the step where its own row converges, so it runs exactly the operations
-of its own solve and its results are bit for bit the same;
-solve_value_function is the one-scenario case of solve_stacked.
+of its own solve and its results are bit for bit the same. A scenario
+whose block of the row solve is not finite, as when its death price
+overflows, fails alone at its first non-finite node and takes no
+further steps; solve_value_function is the one-scenario case of
+solve_stacked.
 
 Grid nodes with S + I > 1 are retained. They are unreachable from the
 physical simplex, but keeping them gives every node near the diagonal a
@@ -394,10 +397,13 @@ def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
 
     With leading scenario axes, the rows form one block-diagonal system
     whose couplings across block edges are exact zeros, solved in one
-    call. A finite block then equals the block solved alone; a block
-    that overflows spreads NaN (0 * inf) into its neighbours. As with
-    solve_banded, non-finite coefficients raise ValueError and a
-    singular system raises LinAlgError.
+    call; a finite block equals the block solved alone. A block that
+    overflows spreads NaN (0 * inf across a zero coupling) into its
+    neighbours, so if the solution is not finite, or the coefficients
+    of some block are not, every block is solved again alone: a block
+    with non-finite coefficients comes back all NaN, and one that
+    overflows on its own keeps its own non-finite nodes. As with
+    solve_banded, a singular system raises LinAlgError.
     """
     a = flow_k / hS
     bp = np.where(fI_k > 0.0, fI_k, 0.0) / hI
@@ -405,24 +411,31 @@ def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
     bm = np.where(fI_k < 0.0, -fI_k, 0.0) / hI
     diag = rho + a + bp + bm
     rhs = cost_k + a * v_prev[..., 1:]  # the I = 0 neighbour is pinned at 0
+    alone = diag.size == diag.shape[-1]   # one block: nothing to isolate
     # bp and bm are never NaN (a NaN drift gives 0 in both), so the
     # off-diagonals -bp and -bm are finite wherever the diagonal is.
-    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    # Sub- and super-diagonal, with the zero couplings across block edges
-    # at the same places and of the same sign as in solve_banded's band.
-    lower = -bm
-    lower[..., 0] = 0.0
-    upper = -bp
-    upper[..., -1] = 0.0
-    # Every argument is a temporary, so LAPACK may overwrite them all.
-    *_, x, info = _gtsv()(lower.ravel()[1:], diag.ravel(),
-                          upper.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x.reshape(diag.shape)
+    if np.isfinite(diag).all() and np.isfinite(rhs).all():
+        # Sub- and super-diagonal, with the zero couplings across block
+        # edges at the same places and of the same sign as in
+        # solve_banded's band.
+        lower = -bm
+        lower[..., 0] = 0.0
+        upper = -bp
+        upper[..., -1] = 0.0
+        # Every argument is a temporary, so LAPACK may overwrite them all.
+        *_, x, info = _gtsv()(lower.ravel()[1:], diag.ravel(),
+                              upper.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gtsv")
+        x = x.reshape(diag.shape)
+        if alone or np.isfinite(x).all():
+            return x
+    elif alone:
+        return np.full_like(diag, np.nan)
+    return np.stack([_row_policy_eval(rho, *block, hS, hI)
+                     for block in zip(flow_k, fI_k, cost_k, v_prev)])
 
 
 def _control_set(controls, params: PlannerParams):
@@ -475,6 +488,7 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
     return outcome
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                   tol: float | None = None, max_iters: int = 500,
                   controls=None) -> list:
@@ -484,21 +498,23 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     solve_value_function returns for params with that cost_per_death, bit
     for bit, or the SolverConvergenceError or SolverNumericalError it
     raises, as the exception object: one cost's failure leaves the others
-    untouched. Every policy-iteration step advances all the costs whose
-    current row is still unconverged with one minimization and one
-    block-diagonal tridiagonal solve. A cost is frozen at the step where
-    its row residual drops below tol, so it runs exactly the steps of its
-    own solve. Each cost's rows start from an extrapolation of its own
-    rows below (see solve_value_function). A failed cost's rows are
-    zeroed and take no further steps, so every array keeps one row per
-    cost for the whole march, indexed by cost. A ValueError
-    (an invalid cost, tol, max_iters or control set) is raised for the
-    whole call. Each cost's "solve finished" INFO line gives its
-    policy-iteration steps, summed over rows, and its worst final row
-    residual.
+    untouched. On each row, every policy-iteration step advances the
+    working set, the costs still iterating there, with one minimization
+    and one block-diagonal tridiagonal solve. A cost leaves the working
+    set at the step where its row residual drops below tol, so it runs
+    exactly the steps of its own solve, or at the step where its block
+    of the row solve is not finite, which fails it with
+    SolverNumericalError at its first non-finite node; a failed cost
+    takes no further steps. An overflowing death price fails its cost
+    that way, so numpy's overflow and invalid-value warnings are off
+    here. Each cost's rows start from an extrapolation of its own rows
+    below (see solve_value_function). A ValueError (an invalid cost,
+    tol, max_iters or control set) is raised for the whole call. Each
+    cost's "solve finished" INFO line gives its policy-iteration steps,
+    summed over rows, and its worst final row residual.
     """
     tol = resolved_tol(params, tol)
-    if tol <= 0.0:
+    if not tol > 0.0:                 # a NaN tol fails too
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -512,90 +528,91 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     sN, iN, hS, hI = _mesh(grid)
     rho = params.discount_rate
     I_act = iN[1:]
-    # The value of one death per cost, broadcast over nodes and controls.
-    price = np.array([p.death_price for p in priced])[:, None, None]
 
-    # One value and one policy array per cost, written row by row; a
-    # failed cost's arrays are dropped.
+    # Each cost's outcome: None until it fails or its solve ends.
+    out = [None] * len(priced)
+    # The costs not failed so far, and for each of them, in the same
+    # order: its value and policy arrays, written row by row; its price
+    # of a death, broadcast over nodes and controls; its policy-iteration
+    # steps summed over rows and its worst final row residual, for its
+    # "solve finished" line; and its rows below the current one.
+    live = np.arange(len(priced))
     Vs = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
     L_fields = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
     for V, p in zip(Vs, priced):
         V[0, :] = boundary_value_s_zero(iN, p)
-    failures = [None] * len(priced)
-    # Policy-iteration steps summed over rows, and the worst final row
-    # residual, per cost: reported in its "solve finished" line.
-    steps = np.zeros(len(priced), dtype=int)
-    worst = np.zeros(len(priced))
+    price = np.array([p.death_price for p in priced])[:, None, None]
+    steps = [0] * len(priced)
+    worst = [0.0] * len(priced)
     v_prev = np.stack([V[0] for V in Vs])
     older = ()                        # rows i-2 and i-3, nearest first
 
     for i in range(1, grid.n_S):
         S = sN[i]
         v = _warm_start(v_prev, *older)
-        L_row = np.zeros((len(priced), grid.n_I - 1))
-        # The costs not yet converged on this row; a failed one never is.
-        todo = np.flatnonzero([f is None for f in failures])
-        for _ in range(max_iters):
-            # Basic slices while every cost is still iterating.
-            every = todo.size == len(priced)
-            v_t = v if every else v[todo]
-            prev_t = v_prev if every else v_prev[todo]
+        # The working set: the positions in v of the costs still
+        # iterating on this row, with their current rows, rows below and
+        # prices, narrowed only when some cost converges or fails.
+        at, w, below, pw = np.arange(live.size), v, v_prev, price
+        for step in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                S, I_act, v_t, prev_t, hS, hI, params, Ls,
-                price if every else price[todo])
-            residual = np.abs(rho * v_t[:, 1:] - Hk).max(axis=-1)
+                S, I_act, w, below, hS, hI, params, Ls, pw)
+            residual = np.abs(rho * w[:, 1:] - Hk).max(axis=-1)
             if any(r < tol for r in residual.tolist()):
                 done = residual < tol
-                ended = todo[done]
-                L_row[ended] = Lk[done]
-                worst[ended] = np.maximum(worst[ended], residual[done])
+                for pos, row, L, res in zip(at[done].tolist(), w[done],
+                                            Lk[done],
+                                            residual[done].tolist()):
+                    v[pos] = Vs[pos][i] = row
+                    L_fields[pos][i, 1:] = L
+                    steps[pos] += step    # its row solves on this row
+                    worst[pos] = max(worst[pos], res)
                 busy = ~done
-                todo = todo[busy]
-                if not todo.size:
+                at = at[busy]
+                if not at.size:
                     break
-                flow_k, fI_k, cost_k, prev_t, residual = (
-                    flow_k[busy], fI_k[busy], cost_k[busy], prev_t[busy],
-                    residual[busy])
-            v_new = _row_policy_eval(rho, flow_k, fI_k, cost_k, prev_t,
-                                     hS, hI)
-            steps[todo] += 1
-            if not np.isfinite(v_new).all():
-                ok = _isolate(v_new, failures, i, todo, rho, flow_k, fI_k,
-                              cost_k, prev_t, hS, hI)
-                todo, v_new, residual = todo[ok], v_new[ok], residual[ok]
-                if not todo.size:
+                w, below, pw, flow_k, fI_k, cost_k, residual = (
+                    x[busy] for x in (w, below, pw, flow_k, fI_k, cost_k,
+                                      residual))
+            w_new = _row_policy_eval(rho, flow_k, fI_k, cost_k, below, hS,
+                                     hI)
+            finite = np.isfinite(w_new)
+            if not finite.all():
+                ok = finite.all(axis=-1)
+                for b in np.flatnonzero(~ok).tolist():
+                    j = int(np.argmin(finite[b])) + 1
+                    out[live[at[b]]] = SolverNumericalError(
+                        f"non-finite value at node ({i}, {j})", node=(i, j))
+                at = at[ok]
+                if not at.size:
                     break
-            if todo.size == len(priced):
-                v[:, 1:] = v_new
-            else:
-                v[todo, 1:] = v_new
+                w, below, pw, w_new, residual = (
+                    x[ok] for x in (w, below, pw, w_new, residual))
+            w[:, 1:] = w_new
         else:
-            for k, res in zip(todo.tolist(), residual.tolist()):
-                failures[k] = SolverConvergenceError(
+            for b, res in zip(at.tolist(), residual.tolist()):
+                out[live[b]] = SolverConvergenceError(
                     f"row {i} did not converge in {max_iters} iterations "
                     f"(last residual {res:.3e})", residual=res, row=i)
-        for k, failure in enumerate(failures):
-            if failure is None:
-                Vs[k][i] = v[k]
-                L_fields[k][i, 1:] = L_row[k]
-            else:
-                Vs[k] = L_fields[k] = None
-                v[k] = 0.0
-        if None not in failures:
-            break
+        kept = [out[k] is None for k in live.tolist()]
+        if not all(kept):
+            live, v, v_prev, price = (
+                x[kept] for x in (live, v, v_prev, price))
+            older = tuple(o[kept] for o in older)
+            Vs, L_fields, steps, worst = (
+                [a for a, keep in zip(items, kept) if keep]
+                for items in (Vs, L_fields, steps, worst))
+            if not live.size:
+                break
         v_prev, older = v, (v_prev, *older)[:2]
 
-    out = []
-    for k in range(len(priced)):
-        if failures[k] is not None:
-            out.append(failures[k])
-            continue
+    for pos, k in enumerate(live.tolist()):
         logger.info("solve finished, V(1,1)=%.6f, %d policy-iteration "
-                    "steps, worst row residual %.3e", Vs[k][-1, -1],
-                    steps[k], worst[k])
+                    "steps, worst row residual %.3e", Vs[pos][-1, -1],
+                    steps[pos], worst[pos])
         # ValueField keeps a copy; drop the raw array at once.
-        out.append((ValueField(grid, Vs[k]), PolicyField(grid, L_fields[k])))
-        Vs[k] = None
+        out[k] = (ValueField(grid, Vs[pos]), PolicyField(grid, L_fields[pos]))
+        Vs[pos] = None
     return out
 
 
@@ -612,29 +629,6 @@ def _warm_start(v_prev, *older):
         v = 3.0 * v_prev - 3.0 * older[0] + older[1]
     v[..., 0] = 0.0
     return v
-
-
-def _isolate(v_new, failures, i, costs, rho, flow_k, fI_k, cost_k, v_prev,
-             hS, hI):
-    # A non-finite block may be the victim of a neighbour's overflow
-    # (0 * inf across the zero coupling), so each is solved again on its
-    # own: a finite result replaces it, a non-finite one fails its cost
-    # at the first bad node, as the cost's own solve would. Returns the
-    # mask of blocks that are still iterating.
-    ok = np.ones(len(costs), dtype=bool)
-    for b in np.flatnonzero(~np.isfinite(v_new).all(axis=1)).tolist():
-        one = slice(b, b + 1)
-        alone = _row_policy_eval(rho, flow_k[one], fI_k[one], cost_k[one],
-                                 v_prev[one], hS, hI)[0]
-        if np.all(np.isfinite(alone)):
-            v_new[b] = alone
-            continue
-        j_bad = int(np.argmin(np.isfinite(alone)))
-        failures[costs[b]] = SolverNumericalError(
-            f"non-finite value at node ({i}, {j_bad + 1})",
-            node=(i, j_bad + 1))
-        ok[b] = False
-    return ok
 
 
 def bellman_residual(value_field: ValueField, params: PlannerParams,

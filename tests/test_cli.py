@@ -368,6 +368,45 @@ def test_nonconvergence_exits_2_without_manifest(tmp_path, capsys):
         assert not (out / "run_manifest").exists()
 
 
+def test_overflowing_death_price_exits_2_without_traceback(tmp_path):
+    # The price is finite, but the row solve overflows at the first node.
+    cfg = tmp_path / "dear.cfg"
+    cfg.write_text("n_S=20\nn_I=20\ncost_per_death=1.7e308\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "epiethics.cli",
+         "--config", str(cfg), "--out", str(out), "solve"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert ("solver failure: non-finite value at node (1, 1)"
+            in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not (out / "run_manifest").exists()
+
+
+def test_overflowing_ladder_rung_fails_only_its_row(tmp_path, caplog):
+    sweeps = {}
+    for name, ladder in (("dear", "0,1.7e308"), ("plain", "0")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"n_S=20\nn_I=20\nhorizon=2\nladder={ladder}\n")
+        out = tmp_path / name
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            rc = main(["--config", str(cfg), "--out", str(out),
+                       "sensitivity"])
+        assert rc == 0
+        sweeps[name] = (read_csv(out / "sensitivity.csv"),
+                        [r.getMessage() for r in caplog.records
+                         if r.levelno == logging.WARNING])
+    (header, rows), warnings = sweeps["dear"]
+    assert warnings == ["scenario fixed:1.7e+308 failed: "
+                        "non-finite value at node (1, 1)"]
+    assert rows[-1][0] == "fixed:1.7e+308"
+    assert rows[-1][2:] == ["nan"] * (len(header) - 2)
+    assert (header, rows[:-1]) == sweeps["plain"][0]
+    assert sweeps["plain"][1] == []
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

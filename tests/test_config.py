@@ -256,6 +256,8 @@ REJECTIONS = [
     ("tau=2\n", "line 1: tau must be 0 or 1"),
     ("cost_per_death=-1\n", "line 1: cost_per_death must be non-negative"),
     ("chi=-1\n", "line 1: chi must be non-negative"),
+    ("cost_per_death=1e308\nchi=1e308\n",
+     "line 1: cost_per_death + chi must be finite"),
     ("n_S=2\n", "line 1: n_S and n_I must be at least 3"),
     ("n_I=2\n", "line 1: n_S and n_I must be at least 3"),
     ("n_L=1\n", "line 1: n_L must be at least 2"),

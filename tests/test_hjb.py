@@ -10,6 +10,7 @@ Independent oracles used here:
     optimal value.
 """
 
+import math
 import subprocess
 import sys
 
@@ -295,13 +296,18 @@ def test_row_solve_equals_solve_banded_bit_for_bit(rows):
     ids=["flow-nan", "drift-inf", "drift-minus-inf", "cost-nan",
          "v-prev-inf"])
 def test_row_solve_rejects_non_finite_coefficients(which, bad):
+    # scipy refuses the whole poisoned system. The row solve gives the
+    # poisoned block NaN and still solves the other block, exactly as
+    # that block alone.
     args = list(row_system(2))
     args[which] = args[which].copy()
     args[which][1, 7] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         banded_solve(*args)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        _row_policy_eval(*args)
+    got = _row_policy_eval(*args)
+    assert np.isnan(got[1]).all()
+    alone = banded_solve(args[0], *(a[:1] for a in args[1:5]), *args[5:])
+    assert got[0].tobytes() == alone[0].tobytes()
 
 
 def test_row_solve_reports_a_singular_system():
@@ -456,6 +462,9 @@ def test_solver_input_validation():
                              controls=[0.0, 0.9])  # above L_bar
     with pytest.raises(ValueError, match="tol"):
         solve_value_function(PARAMS, GridSpec(n_S=5, n_I=5, n_L=3), tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        solve_value_function(PARAMS, GridSpec(n_S=5, n_I=5, n_L=3),
+                             tol=math.nan)
     with pytest.raises(ValueError, match="max_iters"):
         solve_value_function(PARAMS, GridSpec(n_S=5, n_I=5, n_L=3),
                              max_iters=0)

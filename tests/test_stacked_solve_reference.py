@@ -355,29 +355,33 @@ def test_non_finite_block_fails_only_its_cost(monkeypatch):
 
 
 def test_overflow_spilling_into_neighbours_is_solved_again(monkeypatch):
-    # In the stacked system, make the dearest block overflow and its
-    # neighbours NaN, as a 0 * inf across a zero coupling would; alone,
-    # every block but the dearest solves cleanly. The neighbours must be
-    # re-solved on their own and come out exact.
-    real = planner._row_policy_eval
+    # A death price near the float limit breaks its own block of the row
+    # solve. At 1e308 the stacked solve overflows there and spreads NaN
+    # (0 * inf across a zero coupling) into the cost-20 block; at 1.7e308
+    # the block's coefficients themselves overflow. Either way the row
+    # solve solves every block again alone: the dear cost fails at its
+    # first node and its neighbours come out exact.
+    real = planner._gtsv()
+    bad_blocks = []
 
-    def spilling(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
-        out = real(rho, flow_k, fI_k, cost_k, v_prev, hS, hI)
-        dear = cost_k[..., -1] > 30.0
-        if dear.any():
-            out[dear] = np.inf
-            if out.shape[0] > 1:
-                out[~dear] = np.nan
-        return out
+    def watched(lower, diag, upper, rhs, *flags):
+        *rest, x, info = real(lower, diag, upper, rhs, *flags)
+        bad_blocks.append(
+            (~np.isfinite(x.reshape(-1, SMALL.n_I - 1)).all(axis=1)).tolist())
+        return (*rest, x, info)
 
-    monkeypatch.setattr(planner, "_row_policy_eval", spilling)
-    stacked = solve_stacked(PARAMS, SMALL, COSTS)
-    for cost, got in zip(COSTS, stacked):
-        if cost == 40.0:
-            assert isinstance(got, SolverNumericalError)
-            assert got.node == (1, 1)
-        else:
-            assert_same_outcome(got, reference_solve(priced(cost), SMALL))
+    monkeypatch.setattr(planner, "_gtsv", lambda: watched)
+    for dear in (1e308, 1.7e308):
+        costs = (20.0, dear, 10.0)
+        for cost, got in zip(costs, solve_stacked(PARAMS, SMALL, costs)):
+            if cost == dear:
+                assert isinstance(got, SolverNumericalError)
+                assert str(got) == "non-finite value at node (1, 1)"
+                assert got.node == (1, 1)
+            else:
+                assert_same_outcome(got, reference_solve(priced(cost), SMALL))
+    # The stacked solve at 1e308 did spill into the cost-20 block.
+    assert [True, True, False] in bad_blocks
 
 
 def test_solve_value_function_raises_the_stacked_failure():
