@@ -240,6 +240,14 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     the next step's start. Returns the sampled trajectory and
     (gdp_loss, death_cost).
 
+    A step whose four stage lockdowns are all +-0.0 adds no output-loss
+    terms, and that is exact: w is finite, so each term is +-0.0 (or
+    NaN at a non-finite stage state, which fails the step's range check
+    anyway), and gdp_loss + +-0.0 == gdp_loss bit for bit, as gdp_loss
+    starts at +0.0 and never falls below it. Closed loops lock down on
+    few of their steps: the benchmark sweep's six start 0 to 206 of
+    their 7,300 steps locked down.
+
     The loop runs on plain floats but keeps, value by value, the
     operation order of the equivalent loop over numpy state vectors, so
     its output is bit for bit the same; tests/test_rk4_reference.py keeps
@@ -315,11 +323,12 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         sixth = h / 6.0
         disc_mid = exp(-rho * t_mid)
         disc_end = exp(-rho * t_end)
-        gdp_loss = gdp_loss + sixth * (
-            disc * loss(S, I, L1, params)
-            + 2.0 * (disc_mid * loss(S2, I2, L2, params))
-            + 2.0 * (disc_mid * loss(S3, I3, L3, params))
-            + disc_end * loss(S4, I4, L4, params))
+        if L1 or L2 or L3 or L4:      # else every term is +-0.0
+            gdp_loss = gdp_loss + sixth * (
+                disc * loss(S, I, L1, params)
+                + 2.0 * (disc_mid * loss(S2, I2, L2, params))
+                + 2.0 * (disc_mid * loss(S3, I3, L3, params))
+                + disc_end * loss(S4, I4, L4, params))
         death_cost = death_cost + sixth * (
             disc * (dD1 * price) + 2.0 * (disc_mid * (dD2 * price))
             + 2.0 * (disc_mid * (dD3 * price))

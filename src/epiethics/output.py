@@ -19,13 +19,13 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig, serialize_config
 from .epidemic import Trajectory
 from .ethics import AXIOM_IDS, PropertyMatrix, Witness
-from .planner import PolicyField, ScenarioSummary, ValueField, resolved_tol
+from .planner import PolicyField, ScenarioSummary, ValueField, \
+    _scipy_module, resolved_tol
 from .sensitivity import SensitivityReport
 
 __all__ = [
@@ -283,7 +283,7 @@ def write_manifest(path, subcommand: str, cfg: RunConfig,
         f"package_version={__version__}",
         f"python_version={platform.python_version()}",
         f"numpy_version={np.__version__}",
-        f"scipy_version={scipy.__version__}",
+        f"scipy_version={_scipy_module('version').version}",
         f"wall_time_s={wall_time_s:.3f}",
     ]
     with open(path, "w", newline="") as fh:

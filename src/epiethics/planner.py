@@ -16,8 +16,11 @@ I-drift, and with it the upwind branch, changes sign. Its minimum over
 L = (1 - a/(2*beta*S*I*theta*(D_I - D_S)))/theta, with a the output lost
 per unit of lockdown and D_I the upwind I-difference of that branch.
 This is the grid form of the first-order condition of Alvarez, Argente
-& Lippi (AER: Insights 2021). Ties go to the smaller L. A finite control
-set can be given instead; the tests' oracles use one.
+& Lippi (AER: Insights 2021). Ties go to the smaller L: the candidates
+are built in ascending order, not sorted, which gives a sort's bits (see
+_row_candidates), and their pieces that do not depend on the values are
+computed once per row. A finite control set can be given instead; the
+tests' oracles use one.
 
 S never increases, so each S-row of the discrete system depends only on
 itself and on the row below. Rows are solved in ascending S order, each
@@ -306,32 +309,56 @@ def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
     return cost - flow * DS + np.where(f_I > 0.0, f_I * DIp, f_I * DIm)
 
 
-def _row_candidates(S, I, DS, DIp, DIm, params: PlannerParams):
-    # The five candidate controls of the module docstring at every node
-    # of one S-row (any leading scenario axes), clipped to [0, L_bar] and
-    # sorted, so that an argmin over them breaks ties toward the smaller L.
+def _row_terms(S, I, params: PlannerParams):
+    # The value-free pieces of one S-row's candidates, for
+    # _row_candidates: L_c clipped to [0, L_bar], as a float, and per
+    # node I the output a lost per unit of lockdown and the curvature
+    # scale 2*beta*S*I*theta.
     theta = params.theta
     L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
-    a = _lockdown_loss(S, I, 1.0, params)
-    scale = 2.0 * params.beta_contact * S * I * theta
-    cand = np.empty(DS.shape + (5,))
-    cand[..., 0] = 0.0
-    cand[..., 1] = params.L_bar
-    cand[..., 2] = L_c
-    for col, DI in ((3, DIp), (4, DIm)):
+    return (min(max(L_c, 0.0), params.L_bar),
+            _lockdown_loss(S, I, 1.0, params),
+            2.0 * params.beta_contact * S * I * theta)
+
+
+def _row_candidates(DS, DIp, DIm, params: PlannerParams, L_c, a, scale):
+    # The five candidate controls of the module docstring at every node
+    # of one S-row (any leading scenario axes), in [0, L_bar] and in
+    # ascending order, so that an argmin over them breaks ties toward
+    # the smaller L. L_c, a and scale come from _row_terms.
+    #
+    # The order is built, not sorted: 0 and L_bar are the ends, and the
+    # middle three are L_c and the two vertices capped at L_bar, put in
+    # order by a three-element min/max network. That gives np.sort's
+    # output bit for bit, as no candidate is NaN or -0.0: a vertex is
+    # > 0 where curv > a and +0.0 elsewhere (a NaN curv fails curv > a,
+    # and an infinite one gives 1/theta > L_bar, capped), and L_c is
+    # finite for every row S >= h_S.
+    theta = params.theta
+    L_bar = params.L_bar
+    vertex = []
+    for DI in (DIp, DIm):
         # The branch is a*L + curv*(1 - theta*L)^2/(2*theta) plus terms
         # free of L; its vertex lies above 0 only where curv > a (> 0).
         curv = scale * (DI - DS)
         above = curv > a
-        cand[..., col] = np.where(
-            above, (1.0 - a / np.where(above, curv, 1.0)) / theta, 0.0)
-    np.clip(cand, 0.0, params.L_bar, out=cand)
-    cand.sort(axis=-1)
+        vertex.append(np.minimum(np.where(
+            above, (1.0 - a / np.where(above, curv, 1.0)) / theta, 0.0),
+            L_bar))
+    lo = np.minimum(*vertex)
+    hi = np.maximum(*vertex)
+    mid = np.maximum(lo, L_c)
+    cand = np.empty(DS.shape + (5,))
+    cand[..., 0] = 0.0
+    np.minimum(lo, L_c, out=cand[..., 1])
+    np.minimum(mid, hi, out=cand[..., 2])
+    np.maximum(mid, hi, out=cand[..., 3])
+    cand[..., 4] = L_bar
     return cand
 
 
 def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
-                  price=None):
+                  price=None, terms=None):
     """Minimize the upwind Hamiltonian at every active node of one S-row.
 
     v_row is the full current row (index 0 pinned); v_prev is the full
@@ -339,7 +366,8 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     value of one death per scenario, shaped to broadcast over the node
     and control axes) set accordingly. With controls=None the minimum
     over [0, L_bar] is exact (see _row_candidates); otherwise it is taken
-    over the sorted finite set controls. Ties go to the smaller L.
+    over the sorted finite set controls. Ties go to the smaller L. terms,
+    the row's _row_terms, is computed here when not given.
     Returns the minimized Hamiltonian and the minimizing L with its
     drift/cost pieces, each shaped like v_row[..., 1:].
     """
@@ -353,8 +381,11 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     # The candidates depend on the scenario; a finite control set does
     # not, and then flow and f_I are computed once on (nodes, controls)
     # and only the priced death term in cost spans the scenario axes.
-    Ls = (_row_candidates(S, I, DS, DIp, DIm, params) if controls is None
-          else controls)
+    if controls is None:
+        Ls = _row_candidates(DS, DIp, DIm, params,
+                             *(terms or _row_terms(S, I, params)))
+    else:
+        Ls = controls
     flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params, price)
     H = _hamiltonian(flow, f_I, cost, DS[..., None], DIp[..., None],
                      DIm[..., None])
@@ -370,26 +401,34 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     return at_k(H), at_k(Ls), at_k(flow), at_k(f_I), at_k(cost)
 
 
+def _scipy_module(name: str):
+    # The scipy submodule scipy.<name>, loaded from its own file on the
+    # search path of scipy's package without running scipy's __init__,
+    # which would import most of scipy's compiled core: importing
+    # scipy.linalg, say, takes about 0.1 s and 20 MB, mostly for scipy's
+    # array-API layer, against 3 ms for its _flapack extension alone. The
+    # module is not registered in sys.modules.
+    full = f"scipy.{name}"
+    root = PathFinder.find_spec("scipy")
+    *package, _ = name.split(".")
+    spec = None if root is None else PathFinder.find_spec(
+        full, [os.path.join(path, *package)
+               for path in root.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find {full}", name=full)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @cache
 def _gtsv():
     # LAPACK's tridiagonal solver, the routine solve_banded calls for a
     # (1, 1) band, called directly to skip scipy's wrapper. It is loaded
     # on the first row solve from scipy's _flapack extension module
-    # itself: importing scipy.linalg to look it up takes about 0.1 s and
-    # 20 MB, mostly for scipy's array-API layer, against 3 ms for the
-    # extension alone. The module is not registered in sys.modules.
-    # get_lapack_funcs(("gtsv",), (np.empty(0),)) returns this very
-    # object; tests/test_hjb.py pins that.
-    import scipy
-    spec = PathFinder.find_spec(
-        "scipy.linalg._flapack",
-        [os.path.join(path, "linalg") for path in scipy.__path__])
-    if spec is None:
-        raise ImportError("cannot find scipy.linalg._flapack",
-                          name="scipy.linalg._flapack")
-    flapack = module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgtsv
+    # itself. get_lapack_funcs(("gtsv",), (np.empty(0),)) returns this
+    # very object; tests/test_hjb.py pins that.
+    return _scipy_module("linalg._flapack").dgtsv
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
@@ -520,6 +559,8 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
         raise ValueError("max_iters must be at least 1")
     Ls = _control_set(controls, params)
     priced = [replace(params, cost_per_death=c) for c in costs]
+    if not priced:
+        return []
 
     logger.info("solving %dx%d grid, %s, R0=%.3f", grid.n_S, grid.n_I,
                 "exact control" if Ls is None else f"{Ls.size} controls",
@@ -549,6 +590,7 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
 
     for i in range(1, grid.n_S):
         S = sN[i]
+        terms = _row_terms(S, I_act, params) if Ls is None else None
         v = _warm_start(v_prev, *older)
         # The working set: the positions in v of the costs still
         # iterating on this row, with their current rows, rows below and
@@ -556,7 +598,7 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
         at, w, below, pw = np.arange(live.size), v, v_prev, price
         for step in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                S, I_act, w, below, hS, hI, params, Ls, pw)
+                S, I_act, w, below, hS, hI, params, Ls, pw, terms)
             residual = np.abs(rho * w[:, 1:] - Hk).max(axis=-1)
             if any(r < tol for r in residual.tolist()):
                 done = residual < tol
@@ -691,7 +733,9 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
     operation, so simulations equal the array reference in
     tests/test_rk4_reference.py bit for bit. The one RK4 loop,
     _integrate, also accumulates the discounted lockdown output loss and
-    death cost.
+    death cost, skipping the output-loss terms, all zero, of a step with
+    no lockdown at any stage; the benchmark sweep's six loops start 0 to
+    206 of their 7,300 steps locked down.
     """
     control = (_bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
                if policy is not None else lambda S, I, R, D, t: 0.0)

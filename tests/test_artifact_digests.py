@@ -5,7 +5,8 @@ data file it writes must keep the digest recorded here, so a change that
 moves any byte of a field, a trajectory, a summary or a sweep fails
 tier-1 instead of being found by hand. The run manifests are left out:
 they carry the package version and the wall time. The ethics artifacts
-are pinned in tests/test_axiom_batch_reference.py.
+are pinned in tests/test_axiom_batch_reference.py. The raw bits of the
+six fields the sweep solves are pinned here as well.
 
 A change that moves a number on purpose re-records the digests below
 and says why in CHANGES.md.
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from epiethics import parse_config
 from epiethics.cli import main
+from epiethics.planner import solve_stacked
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "benchmark.cfg"
@@ -49,6 +52,15 @@ DIGESTS = {
 }
 
 
+# The sweep's six distinct costs in first-use order, and the SHA-256 of
+# each one's solved V then L, as raw float64 bytes, cost after cost.
+# sensitivity.csv rounds to nine digits, so only this pins every bit of
+# the fields of the costs other than the benchmark's 20.
+SWEEP_COSTS = [20.0, 6.666666666666664, 18.0, 0.0, 10.0, 40.0]
+SWEEP_FIELDS_SHA256 = \
+    "1abffcb0dc110e6f233ee9398ae3bc02900bab056f58ff8efb0bc8fb8065ef28"
+
+
 @pytest.mark.parametrize("command", DIGESTS, ids=" ".join)
 def test_benchmark_artifacts_keep_their_digests(tmp_path, command):
     out = tmp_path / "out"
@@ -57,3 +69,12 @@ def test_benchmark_artifacts_keep_their_digests(tmp_path, command):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in DIGESTS[command]}
     assert got == DIGESTS[command]
+
+
+def test_sweep_fields_keep_their_digest():
+    cfg = parse_config(CONFIG.read_text())
+    digest = hashlib.sha256()
+    for value, policy in solve_stacked(cfg.params, cfg.grid, SWEEP_COSTS):
+        digest.update(value.values.tobytes())
+        digest.update(policy.lockdown.tobytes())
+    assert digest.hexdigest() == SWEEP_FIELDS_SHA256

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from epiethics.cli import main
 from epiethics.output import fmt
@@ -426,19 +427,25 @@ def test_installed_entry_point_runs(tmp_path):
 def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     # Importing scipy.linalg takes about 0.1 s and 20 MB. The row solve
     # loads its one LAPACK routine without it, so neither importing the
-    # CLI nor a command that solves may pay for it.
+    # CLI nor a command that solves may pay for it. Nor may they run
+    # scipy's package __init__: the row solve and the manifest's
+    # scipy_version load the two scipy files they read by themselves, so
+    # scipy is not even in sys.modules after a solve and its manifest.
     cfg = write_cfg(tmp_path)
     code = (
         "import sys\n"
         "from epiethics.cli import main\n"
-        "loaded = ['scipy.linalg' in sys.modules]\n"
+        "names = ('scipy.linalg', 'scipy')\n"
+        "loaded = [[name in sys.modules for name in names]]\n"
         "for cmd in ('solve', 'sensitivity'):\n"
         "    rc = main(['--config', sys.argv[1], '--out', sys.argv[2], cmd])\n"
         "    assert rc == 0, (cmd, rc)\n"
-        "    loaded.append('scipy.linalg' in sys.modules)\n"
+        "    loaded.append([name in sys.modules for name in names])\n"
         "print(loaded)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False]"
+    assert proc.stdout.strip() == str([[False, False]] * 3)
+    manifest = (tmp_path / "out" / "run_manifest").read_text().splitlines()
+    assert f"scipy_version={scipy.__version__}" in manifest

@@ -394,3 +394,11 @@ def test_solve_value_function_raises_the_stacked_failure():
 def test_invalid_cost_rejects_the_whole_call():
     with pytest.raises(ValueError, match="cost_per_death"):
         solve_stacked(PARAMS, SMALL, (20.0, -1.0))
+
+
+def test_no_costs_is_no_solves():
+    assert solve_stacked(PARAMS, SMALL, ()) == []
+    # The other arguments are still checked.
+    for bad in ({"tol": 0.0}, {"max_iters": 0}, {"controls": [0.9]}):
+        with pytest.raises(ValueError):
+            solve_stacked(PARAMS, SMALL, (), **bad)
