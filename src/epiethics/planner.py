@@ -18,9 +18,8 @@ per unit of lockdown and D_I the upwind I-difference of that branch.
 This is the grid form of the first-order condition of Alvarez, Argente
 & Lippi (AER: Insights 2021). Ties go to the smaller L: the candidates
 are built in ascending order, not sorted, which gives a sort's bits (see
-_row_candidates), and their pieces that do not depend on the values are
-computed once per row. A finite control set can be given instead; the
-tests' oracles use one.
+_row_candidates). A finite control set can be given instead; the tests'
+oracles use one.
 
 S never increases, so each S-row of the discrete system depends only on
 itself and on the row below. Rows are solved in ascending S order, each
@@ -68,7 +67,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -309,33 +308,25 @@ def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):
     return cost - flow * DS + np.where(f_I > 0.0, f_I * DIp, f_I * DIm)
 
 
-def _row_terms(S, I, params: PlannerParams):
-    # The value-free pieces of one S-row's candidates, for
-    # _row_candidates: L_c clipped to [0, L_bar], as a float, and per
-    # node I the output a lost per unit of lockdown and the curvature
-    # scale 2*beta*S*I*theta.
-    theta = params.theta
-    L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
-    return (min(max(L_c, 0.0), params.L_bar),
-            _lockdown_loss(S, I, 1.0, params),
-            2.0 * params.beta_contact * S * I * theta)
-
-
-def _row_candidates(DS, DIp, DIm, params: PlannerParams, L_c, a, scale):
+def _row_candidates(S, I, DS, DIp, DIm, params: PlannerParams):
     # The five candidate controls of the module docstring at every node
     # of one S-row (any leading scenario axes), in [0, L_bar] and in
     # ascending order, so that an argmin over them breaks ties toward
-    # the smaller L. L_c, a and scale come from _row_terms.
+    # the smaller L.
     #
     # The order is built, not sorted: 0 and L_bar are the ends, and the
-    # middle three are L_c and the two vertices capped at L_bar, put in
-    # order by a three-element min/max network. That gives np.sort's
-    # output bit for bit, as no candidate is NaN or -0.0: a vertex is
-    # > 0 where curv > a and +0.0 elsewhere (a NaN curv fails curv > a,
-    # and an infinite one gives 1/theta > L_bar, capped), and L_c is
-    # finite for every row S >= h_S.
+    # middle three are L_c, clipped to [0, L_bar] as a float, and the
+    # two vertices capped at L_bar, put in order by a three-element
+    # min/max network. That gives np.sort's output bit for bit, as no
+    # candidate is NaN or -0.0: a vertex is > 0 where curv > a and +0.0
+    # elsewhere (a NaN curv fails curv > a, and an infinite one gives
+    # 1/theta > L_bar, capped), and L_c is finite for every row S >= h_S.
     theta = params.theta
     L_bar = params.L_bar
+    L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
+    L_c = min(max(L_c, 0.0), L_bar)
+    a = _lockdown_loss(S, I, 1.0, params)
+    scale = 2.0 * params.beta_contact * S * I * theta
     vertex = []
     for DI in (DIp, DIm):
         # The branch is a*L + curv*(1 - theta*L)^2/(2*theta) plus terms
@@ -358,7 +349,7 @@ def _row_candidates(DS, DIp, DIm, params: PlannerParams, L_c, a, scale):
 
 
 def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
-                  price=None, terms=None):
+                  price=None):
     """Minimize the upwind Hamiltonian at every active node of one S-row.
 
     v_row is the full current row (index 0 pinned); v_prev is the full
@@ -366,8 +357,7 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     value of one death per scenario, shaped to broadcast over the node
     and control axes) set accordingly. With controls=None the minimum
     over [0, L_bar] is exact (see _row_candidates); otherwise it is taken
-    over the sorted finite set controls. Ties go to the smaller L. terms,
-    the row's _row_terms, is computed here when not given.
+    over the sorted finite set controls. Ties go to the smaller L.
     Returns the minimized Hamiltonian and the minimizing L with its
     drift/cost pieces, each shaped like v_row[..., 1:].
     """
@@ -381,11 +371,8 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     # The candidates depend on the scenario; a finite control set does
     # not, and then flow and f_I are computed once on (nodes, controls)
     # and only the priced death term in cost spans the scenario axes.
-    if controls is None:
-        Ls = _row_candidates(DS, DIp, DIm, params,
-                             *(terms or _row_terms(S, I, params)))
-    else:
-        Ls = controls
+    Ls = (_row_candidates(S, I, DS, DIp, DIm, params) if controls is None
+          else controls)
     flow, f_I, cost = _row_quantities(S, I[:, None], Ls, params, price)
     H = _hamiltonian(flow, f_I, cost, DS[..., None], DIp[..., None],
                      DIm[..., None])
@@ -401,19 +388,23 @@ def _row_minimize(S, I, v_row, v_prev, hS, hI, params, controls=None,
     return at_k(H), at_k(Ls), at_k(flow), at_k(f_I), at_k(cost)
 
 
+@cache
 def _scipy_module(name: str):
-    # The scipy submodule scipy.<name>, loaded from its own file on the
-    # search path of scipy's package without running scipy's __init__,
+    # The scipy submodule scipy.<name>, loaded once from its own file in
+    # scipy's package directories without running scipy's __init__,
     # which would import most of scipy's compiled core: importing
     # scipy.linalg, say, takes about 0.1 s and 20 MB, mostly for scipy's
-    # array-API layer, against 3 ms for its _flapack extension alone. The
-    # module is not registered in sys.modules.
+    # array-API layer, against 3 ms for its _flapack extension alone.
+    # Any finder may locate the scipy package (finding a top-level
+    # package runs none of its code), but the submodule's file must sit
+    # under one of the package's search locations. The module is not
+    # registered in sys.modules.
     full = f"scipy.{name}"
-    root = PathFinder.find_spec("scipy")
+    root = find_spec("scipy")
     *package, _ = name.split(".")
     spec = None if root is None else PathFinder.find_spec(
         full, [os.path.join(path, *package)
-               for path in root.submodule_search_locations])
+               for path in root.submodule_search_locations or ()])
     if spec is None:
         raise ImportError(f"cannot find {full}", name=full)
     module = module_from_spec(spec)
@@ -421,7 +412,6 @@ def _scipy_module(name: str):
     return module
 
 
-@cache
 def _gtsv():
     # LAPACK's tridiagonal solver, the routine solve_banded calls for a
     # (1, 1) band, called directly to skip scipy's wrapper. It is loaded
@@ -590,7 +580,6 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
 
     for i in range(1, grid.n_S):
         S = sN[i]
-        terms = _row_terms(S, I_act, params) if Ls is None else None
         v = _warm_start(v_prev, *older)
         # The working set: the positions in v of the costs still
         # iterating on this row, with their current rows, rows below and
@@ -598,7 +587,7 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
         at, w, below, pw = np.arange(live.size), v, v_prev, price
         for step in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
-                S, I_act, w, below, hS, hI, params, Ls, pw, terms)
+                S, I_act, w, below, hS, hI, params, Ls, pw)
             residual = np.abs(rho * w[:, 1:] - Hk).max(axis=-1)
             if any(r < tol for r in residual.tolist()):
                 done = residual < tol

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from epiethics import PlannerParams
 from epiethics.epidemic import _lockdown_loss
-from epiethics.planner import GridSpec, _mesh, _row_candidates, _row_terms
+from epiethics.planner import GridSpec, _mesh, _row_candidates
 
 _, I_NODES, H_S, H_I = _mesh(GridSpec())
 EXTREMES = [math.inf, -math.inf, 1e308, -1e308, math.nan, 0.0, -0.0]
@@ -42,6 +42,14 @@ def ref_row_candidates(S, I, DS, DIp, DIm, params):
     return cand
 
 
+def row_terms(S, I, params):
+    # The oracle's unclipped L_c, and per node its a and scale.
+    theta = params.theta
+    L_c = (1.0 - math.sqrt(params.gamma / (params.beta_contact * S))) / theta
+    return (L_c, _lockdown_loss(S, I, 1.0, params),
+            2.0 * params.beta_contact * S * I * theta)
+
+
 def vertex_tie(a, scale):
     # A DI with scale * (DI - 0.0) == a exactly, or None if none of the
     # three floats nearest a / scale gives one.
@@ -54,7 +62,7 @@ def vertex_tie(a, scale):
 
 def assert_same_candidates(S, I, DS, DIp, DIm, params):
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _row_candidates(DS, DIp, DIm, params, *_row_terms(S, I, params))
+        got = _row_candidates(S, I, DS, DIp, DIm, params)
         want = ref_row_candidates(S, I, DS, DIp, DIm, params)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -76,7 +84,7 @@ def rows(draw):
         np.array(draw(st.lists(derivative, min_size=K * n,
                                max_size=K * n))).reshape(K, n)
         for _ in range(3))
-    _, a, scale = _row_terms(S, I, params)
+    _, a, scale = row_terms(S, I, params)
     ties = st.sampled_from(["none", "DIp == DS", "DIm == DS", "curv == a"])
     for k in range(K):
         for j in range(n):
@@ -105,7 +113,7 @@ def test_ties_at_the_vertex_threshold():
     params = PlannerParams()
     S = 0.5
     I = I_NODES[1:]
-    _, a, scale = _row_terms(S, I, params)
+    _, a, scale = row_terms(S, I, params)
     DIp = np.array([vertex_tie(x, s) or x / s for x, s in zip(a, scale)])
     DS = np.zeros((1, I.size))
     tied = scale * (DIp - DS[0]) == a
@@ -119,7 +127,8 @@ def test_lockdown_threshold_outside_the_control_range():
     params = PlannerParams(L_bar=0.3)
     I = I_NODES[1:]
     derivative = np.linspace(-1e3, 1e3, 3 * I.size).reshape(3, I.size)
-    for S, L_c in ((H_S, 0.0), (1.0, params.L_bar)):
-        assert _row_terms(S, I, params)[0] == L_c
+    L_c = [row_terms(S, I, params)[0] for S in (H_S, 1.0)]
+    assert L_c[0] < 0.0 and L_c[1] > params.L_bar
+    for S in (H_S, 1.0):
         assert_same_candidates(S, I, derivative, derivative[::-1],
                                derivative[:, ::-1], params)
