@@ -112,24 +112,24 @@ def _cmd_simulate(cfg: RunConfig, out: Path, no_control: bool):
     write_summary(out / "summary.txt", summary)
 
 
-def _axiom_reports(cfg: RunConfig) -> list:
+def _axiom_reports(criteria, kwargs) -> list:
     # The A1-A8 suite, one row of reports per criterion. check_axioms
     # judges every criterion on one draw per axiom. A one-criterion run
     # has nothing to share and calls check_axiom, its one-criterion case,
     # once per axiom: perfbench's traced pass times those calls and does
     # not wrap check_axioms yet.
-    kwargs = dict(samples=cfg.samples, seed=cfg.seed, pop_cap=cfg.pop_cap,
-                  level_range=cfg.level_range())
-    if len(cfg.criteria) == 1:
-        return [[check_axiom(cfg.criteria[0], axiom, **kwargs)
+    if len(criteria) == 1:
+        return [[check_axiom(criteria[0], axiom, **kwargs)
                  for axiom in AXIOM_IDS]]
-    by_axiom = [check_axioms(cfg.criteria, axiom, **kwargs)
+    by_axiom = [check_axioms(criteria, axiom, **kwargs)
                 for axiom in AXIOM_IDS]
     return list(zip(*by_axiom))
 
 
 def _cmd_ethics(cfg: RunConfig, out: Path):
-    suite = _axiom_reports(cfg)
+    kwargs = dict(samples=cfg.samples, seed=cfg.seed, pop_cap=cfg.pop_cap,
+                  level_range=cfg.level_range())
+    suite = _axiom_reports(cfg.criteria, kwargs)
     searches, repugnant = [], []
     for crit in cfg.criteria:
         wit = repugnant_witness(crit, REPUGNANT_BASE, REPUGNANT_EPSILON,
@@ -142,12 +142,12 @@ def _cmd_ethics(cfg: RunConfig, out: Path):
         searches.append((crit.label, "very-sadistic-conclusion",
                          "witness-found" if sad else
                          f"none-found-up-to-{SADISTIC_N_MAX}", sad))
-    # The matrix reuses the suite's A4, A5 and A8 reports and the
-    # repugnant-conclusion searches instead of judging them again.
-    matrix = property_matrix(cfg.criteria, suite, repugnant,
-                             budget=cfg.samples, seed=cfg.seed,
-                             pop_cap=cfg.pop_cap,
-                             level_range=cfg.level_range())
+    # The matrix only assembles: its sampled cells are the suite's A4,
+    # A5 and A8 reports and one negative-expansion check on the suite's
+    # draw settings, which ethics.csv does not list as suite rows.
+    expansion = check_axioms(cfg.criteria, "negative-expansion", **kwargs)
+    rows = [[*row, rep] for row, rep in zip(suite, expansion)]
+    matrix = property_matrix(cfg.criteria, rows, repugnant)
     reports = [report for row in suite for report in row]
     write_ethics_csv(out / "ethics.csv", reports, matrix, searches)
     write_ethics_text(out / "ethics.txt", reports, matrix, searches)

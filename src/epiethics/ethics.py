@@ -13,16 +13,18 @@ Five criteria are supported:
          ascending, rank r gets weight rank_discount**r
 
 check_axioms runs seeded randomized searches for counterexamples to the
-classic axioms A1-A8 on small universes, so every reported witness is
-replayable and small enough to verify by hand; check_axiom is its
-one-criterion case. Verdicts are statements about the sampled universe,
-not proofs. Except for A6 and A7, whose draws depend on earlier results
-and so on the criterion, a checker first draws all of its cases once for
-every criterion it is given, then evaluates each criterion on them in
-one vectorised batch per population size; each criterion's first
-failing case in draw order becomes its witness. A6 batches each
-candidate critical level's cases the same way, for one criterion, and
-replays the generator to its first failing case.
+classic axioms A1-A8 and to negative expansion on small universes, so
+every reported witness is replayable and small enough to verify by hand;
+check_axiom is its one-criterion case. Every sampled property, those of
+the property matrix included, comes from check_axioms: property_matrix
+only assembles its reports. Verdicts are statements about the sampled
+universe, not proofs. Except for A6 and A7, whose draws depend on
+earlier results and so on the criterion, a checker first draws all of
+its cases once for every criterion it is given, then evaluates each
+criterion on them in one vectorised batch per population size; each
+criterion's first failing case in draw order becomes its witness. A6
+batches each candidate critical level's cases the same way, for one
+criterion, and replays the generator to its first failing case.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ AXIOM_TITLES = {
     "A6": "existence of a critical level",
     "A7": "existence of egalitarian equivalence",
     "A8": "same-number consistency across common subpopulations",
+    "negative-expansion": "negative expansion (no added life below zero "
+                          "improves)",
 }
 
 
@@ -552,6 +556,26 @@ def _check_same_number(criteria, rng, samples, lo, hi, pop_cap):
     return _judged(cases, criteria, judge)
 
 
+def _check_negative_expansion(criteria, rng, samples, lo, hi, pop_cap):
+    # Appending a level below zero must never make a population strictly
+    # better.
+    drawn = [(np.array(px), pz) for px, pz in _NEG_EXPANSION_PROBES]
+    for _ in range(samples):
+        x = _rand_levels(rng, pop_cap, lo, hi)
+        drawn.append((x, rng.uniform(min(lo, -1e-3), -1e-3)))
+
+    def judge(v):
+        i = _first(_orders(v[:, 0], v[:, 1]) == 1)
+        if i is None:
+            return "pass", None, ""
+        x, z = drawn[i]
+        return "fail", Witness("negative-expansion",
+                               {"x": _alloc(x), "z": z}), ""
+
+    return _judged([([*x.tolist(), z], x) for x, z in drawn], criteria,
+                   judge)
+
+
 # Which cases A6 and A7 draw depends on the criterion's earlier
 # answers, so each criterion gets its own generator. Each returns
 # (verdict, witness, notes) for one criterion.
@@ -645,6 +669,7 @@ _SHARED_DRAW_CHECKERS = {
     "A4": partial(_existence_independence, best=True),
     "A5": partial(_existence_independence, best=False),
     "A8": _check_same_number,
+    "negative-expansion": _check_negative_expansion,
 }
 _PER_CRITERION_CHECKERS = {
     "A6": _check_critical_level,
@@ -674,27 +699,29 @@ def level_bound(pop_cap: int) -> float:
 
 def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
                  pop_cap: int = 8, level_range=(-10.0, 10.0)) -> list:
-    """Randomized check of one axiom A1-A8 against several criteria.
+    """Randomized check of one axiom A1-A8, or of negative expansion,
+    against several criteria.
 
     Returns one AxiomReport per criterion, in order, each equal to what
     check_axiom returns for that criterion alone. The search is seeded
     and fully deterministic; small hand-checkable probe instances are
     tried before random sampling so that textbook failures come back
-    with readable witnesses. A1-A5 and A8 draw their cases once, with the
-    generator seeded by seed, and judge every criterion on them: the
-    rows are grouped by length and sorted once, each criterion's values
-    come from one batch per population size, and each criterion reports
-    its own first failing case in draw order, the case a case-by-case
-    loop would stop at. A6 and A7 are existential constructions whose
-    draws depend on the criterion; each criterion is searched with its
-    own generator seeded by seed, and may report
-    "not-found-within-budget", which is weaker than "fail". A6 judges
-    all samples of a candidate critical level in one batch, then rewinds
-    the generator to just past the first failing sample, so each
-    candidate sees the draws a case-by-case search would give it. A7
-    searches case by case.
+    with readable witnesses. A1-A5, A8 and negative expansion draw their
+    cases once, with the generator seeded by seed, and judge every
+    criterion on them: the rows are grouped by length and sorted once,
+    each criterion's values come from one batch per population size, and
+    each criterion reports its own first failing case in draw order, the
+    case a case-by-case loop would stop at. These reports are the only
+    sampled verdicts: property_matrix reads its sampled cells from them.
+    A6 and A7 are existential constructions whose draws depend on the
+    criterion; each criterion is searched with its own generator seeded
+    by seed, and may report "not-found-within-budget", which is weaker
+    than "fail". A6 judges all samples of a candidate critical level in
+    one batch, then rewinds the generator to just past the first failing
+    sample, so each candidate sees the draws a case-by-case search would
+    give it. A7 searches case by case.
     """
-    if axiom not in AXIOM_IDS:
+    if axiom not in AXIOM_TITLES:
         raise ValueError(f"unknown axiom id {axiom!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -726,7 +753,8 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
 def check_axiom(crit: WelfareCriterion, axiom: str, samples: int = 1000,
                 seed: int = 0, pop_cap: int = 8,
                 level_range=(-10.0, 10.0)) -> AxiomReport:
-    """Randomized check of one axiom A1-A8 against one criterion.
+    """Randomized check of one axiom A1-A8, or of negative expansion,
+    against one criterion.
 
     The one-criterion case of check_axioms, which describes the search.
     """
@@ -848,25 +876,6 @@ def very_sadistic_witness(crit: WelfareCriterion,
     return None
 
 
-def _check_negative_expansion(crit, rng, samples, lo, hi, pop_cap):
-    drawn = [(np.array(px), pz) for px, pz in _NEG_EXPANSION_PROBES]
-    for _ in range(samples):
-        x = _rand_levels(rng, pop_cap, lo, hi)
-        drawn.append((x, rng.uniform(min(lo, -1e-3), -1e-3)))
-
-    def judge(v):
-        i = _first(_orders(v[:, 0], v[:, 1]) == 1)
-        if i is None:
-            return "pass", None
-        x, z = drawn[i]
-        return "fail", Witness("negative-expansion",
-                               {"x": _alloc(x), "z": z})
-
-    (result,) = _judged([([*x.tolist(), z], x) for x, z in drawn], (crit,),
-                        judge)
-    return result
-
-
 # The matrix's properties in column order, and the published
 # classification (Blackorby, Bossert & Donaldson 2005) of each criterion
 # kind, one mark per property: "yes" a credited property, "" a blank
@@ -912,31 +921,23 @@ class PropertyMatrix:
         return "\n".join(lines)
 
 
-def property_matrix(criteria, reports, repugnant, budget: int = 500,
-                    seed: int = 0, pop_cap: int = 8,
-                    level_range=(-10.0, 10.0)) -> PropertyMatrix:
-    """Build the criteria-by-properties verdict matrix.
+def property_matrix(criteria, reports, repugnant) -> PropertyMatrix:
+    """Assemble the criteria-by-properties verdict matrix.
 
-    reports[i] holds the axiom suite's AxiomReports for criteria[i], A4,
-    A5 and A8 among them, and repugnant[i] is the Witness (or None) of
-    its repugnant-conclusion search. Both are matched to the criteria by
-    position, since distinct criteria may print alike. The A4, A5 and A8
-    cells take the suite's verdicts and witnesses, and a repugnant
-    witness fails repugnance avoidance, so no property is judged twice.
-    Negative expansion is checked here with `budget` samples, from a
-    generator seeded by seed + 1000*i for criteria[i]. Utility
-    independence and priority for lives worth living are reported but
-    not machine-checked. Each cell's published mark is read from the row
-    of _PUBLISHED for the criterion's kind.
+    reports[i] holds check_axioms' AxiomReports for criteria[i], A4, A5,
+    A8 and negative expansion among them, and repugnant[i] is the Witness
+    (or None) of its repugnant-conclusion search. Both are matched to the
+    criteria by position, since distinct criteria may print alike. Every
+    sampled cell takes its report's verdict and witness, and a repugnant
+    witness fails repugnance avoidance: the matrix draws no case and
+    judges no property itself. Utility independence and priority for
+    lives worth living are reported but not machine-checked. Each cell's
+    published mark is read from the row of _PUBLISHED for the criterion's
+    kind.
     """
-    lo, hi = float(level_range[0]), float(level_range[1])
     cells = []
-    for ci, (crit, suite, wit) in enumerate(zip(criteria, reports, repugnant,
-                                               strict=True)):
-        rng = np.random.default_rng(seed + 1000 * ci)
+    for crit, suite, wit in zip(criteria, reports, repugnant, strict=True):
         found = {rep.axiom: (rep.verdict, rep.witness) for rep in suite}
-        found["negative-expansion"] = _check_negative_expansion(
-            crit, rng, budget, lo, hi, pop_cap)
         found["repugnance-avoidance"] = ("pass" if wit is None else "fail",
                                          wit)
         for prop in ("utility-independence", "priority-lives-worth-living"):

@@ -624,7 +624,8 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
             for b, res in zip(at.tolist(), residual.tolist()):
                 out[live[b]] = SolverConvergenceError(
                     f"row {i} did not converge in {max_iters} iterations "
-                    f"(last residual {res:.3e})", residual=res, row=i)
+                    f"(last residual {res:.3e}, tol {tol:.3e})",
+                    residual=res, row=i)
         kept = [out[k] is None for k in live.tolist()]
         if not all(kept):
             live, v, v_prev, price = (

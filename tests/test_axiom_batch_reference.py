@@ -19,8 +19,7 @@ import pytest
 from epiethics.cli import main
 from epiethics.ethics import (AXIOM_IDS, Allocation, Ordering,
                               UtilityTransform, WelfareCriterion, Witness,
-                              _check_negative_expansion, check_axiom,
-                              check_axioms, default_criteria)
+                              check_axiom, check_axioms, default_criteria)
 
 ROOT = Path(__file__).resolve().parents[1]
 LO, HI, POP_CAP = -10.0, 10.0, 8
@@ -190,15 +189,10 @@ def reference_check(crit, prop, seed):
 
 
 def batched_check(crit, prop, seed):
-    if prop == "negative-expansion":
-        verdict, witness = _check_negative_expansion(
-            crit, np.random.default_rng(seed), SAMPLES, LO, HI, POP_CAP)
-        notes = ""
-    else:
-        rep = check_axiom(crit, prop, samples=SAMPLES, seed=seed,
-                          pop_cap=POP_CAP, level_range=(LO, HI))
-        verdict, witness, notes = rep.verdict, rep.witness, rep.notes
-    return verdict, notes, witness.describe() if witness else None
+    rep = check_axiom(crit, prop, samples=SAMPLES, seed=seed,
+                      pop_cap=POP_CAP, level_range=(LO, HI))
+    witness = rep.witness.describe() if rep.witness else None
+    return rep.verdict, rep.notes, witness
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +304,19 @@ def together(criteria, axiom, seed):
                                     level_range=(LO, HI))]
 
 
-@pytest.mark.parametrize("axiom", AXIOM_IDS)
+# Every property check_axioms samples: the suite's axioms and the
+# property matrix's negative expansion.
+SAMPLED = AXIOM_IDS + ("negative-expansion",)
+
+
+@pytest.mark.parametrize("axiom", SAMPLED)
 def test_shared_draw_equals_one_criterion_checks(axiom):
     for seed in range(10):
         assert together(CRITERIA, axiom, seed) \
             == one_at_a_time(CRITERIA, axiom, seed), seed
 
 
-@pytest.mark.parametrize("axiom", AXIOM_IDS)
+@pytest.mark.parametrize("axiom", SAMPLED)
 def test_improper_criteria_leave_the_others_verdicts_alone(axiom):
     # A NaN-valued, a stepped and an oscillating criterion judged on the
     # same draw as the proper ones: every report is still the one that

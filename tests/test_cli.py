@@ -157,13 +157,16 @@ def test_ethics_outputs_suite_matrix_and_searches(tmp_path):
 
 
 def test_ethics_judges_each_property_once(tmp_path, monkeypatch):
-    # The property matrix reuses the suite's A4, A5 and A8 reports and
-    # the repugnant-conclusion searches: one check_axioms call per axiom
-    # and one search per criterion, wherever they are called from.
+    # The property matrix only assembles: its sampled cells are the
+    # suite's A4, A5 and A8 reports and one shared negative-expansion
+    # check, and its repugnance cells are the repugnant-conclusion
+    # searches. One check_axioms call per property and one search per
+    # criterion, wherever they are called from.
     import epiethics.cli as cli
     import epiethics.ethics as ethics
 
     calls = {"check_axioms": 0, "repugnant_witness": 0}
+    judged = []
     written = {}
 
     def counted(name):
@@ -171,7 +174,10 @@ def test_ethics_judges_each_property_once(tmp_path, monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            if name == "check_axioms":
+                judged.extend(out)
+            return out
         return wrapper
 
     for name in calls:
@@ -188,15 +194,20 @@ def test_ethics_judges_each_property_once(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parents[1]
     assert main(["--config", str(root / "configs" / "benchmark.cfg"),
                  "--out", str(tmp_path / "out"), "ethics"]) == 0
-    assert calls == {"check_axioms": 8, "repugnant_witness": 5}
-    props = ("A4", "A5", "A8")
-    cells = [(c.criterion, c.prop, c.verdict, c.witness.describe()
-              if c.witness else None)
-             for c in written["matrix"].cells if c.prop in props]
-    suite = [(r.criterion, r.axiom, r.verdict, r.witness.describe()
-              if r.witness else None)
-             for r in written["reports"] if r.axiom in props]
-    assert len(cells) == 15 and cells == suite
+    assert calls == {"check_axioms": 9, "repugnant_witness": 5}
+    # ethics.csv's suite rows are the A1-A8 reports alone.
+    assert [r.axiom for r in written["reports"]] == list(ethics.AXIOM_IDS) * 5
+    props = ("A4", "A5", "A8", "negative-expansion")
+
+    def key(label, prop, verdict, witness):
+        return (label, prop), (verdict, witness.describe() if witness
+                               else None)
+
+    cells = dict(key(c.criterion, c.prop, c.verdict, c.witness)
+                 for c in written["matrix"].cells if c.prop in props)
+    reports = dict(key(r.criterion, r.axiom, r.verdict, r.witness)
+                   for r in judged if r.axiom in props)
+    assert len(cells) == 20 and cells == reports
 
 
 def test_every_stored_fail_witness_replays(tmp_path, monkeypatch):
@@ -381,6 +392,25 @@ def test_overflowing_death_price_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert ("solver failure: non-finite value at node (1, 1)"
             in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not (out / "run_manifest").exists()
+
+
+def test_nonconvergence_names_its_tolerance(tmp_path):
+    # tol=auto is 1e-8*w in absolute value units, but the death price
+    # sets the value's scale: at w=1e-6 the first row's residual stalls
+    # above 1e-14, and the message says so.
+    cfg = tmp_path / "poor.cfg"
+    cfg.write_text("n_S=20\nn_I=20\nw=1e-6\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "epiethics.cli", "--config", str(cfg),
+         "--out", str(out), "solve"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("solver failure: row 1 did not converge"), last
+    assert last.endswith(", tol 1.000e-14)"), last
     assert "Traceback" not in proc.stderr
     assert not (out / "run_manifest").exists()
 

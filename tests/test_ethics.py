@@ -29,6 +29,7 @@ from epiethics.ethics import (
     very_sadistic_witness,
 )
 from epiethics.ethics import _uniform_value
+from test_axiom_batch_reference import Staircase, Undefined, Wobbly
 
 CU = WelfareCriterion("CU")
 TU = WelfareCriterion("TU")
@@ -263,6 +264,33 @@ def test_same_number_consistency_verdicts():
         assert check_axiom(crit, "A8", samples=200, seed=8).verdict == "pass"
 
 
+# No proper criterion fails A1-A3, so improper transforms stand in there.
+KNOWN_VIOLATORS = [
+    (WelfareCriterion("CU", u=Undefined()), "A1", "fail"),
+    (WelfareCriterion("CU", u=Staircase()), "A2", "fail"),
+    (WelfareCriterion("CU", u=Wobbly()), "A3", "fail"),
+    (AU, "A4", "fail"),
+    (AU, "A5", "fail"),
+    (AU, "A6", "not-found-within-budget"),
+    (RD, "A8", "fail"),
+    (AU, "negative-expansion", "fail"),
+]
+
+
+@pytest.mark.parametrize("crit, prop, verdict", KNOWN_VIOLATORS,
+                         ids=[prop for _, prop, _ in KNOWN_VIOLATORS])
+def test_sampler_catches_a_known_violator_at_the_defaults(crit, prop,
+                                                          verdict):
+    # The sampler's power at the run defaults: a "pass" elsewhere means
+    # more when these draws catch a criterion known to violate the
+    # property.
+    rep = check_axiom(crit, prop, samples=1000, seed=0, pop_cap=8,
+                      level_range=(-10.0, 10.0))
+    assert rep.verdict == verdict
+    if verdict == "fail":
+        assert replay_witness(crit, rep)
+
+
 def test_checker_determinism_and_replay():
     for crit in ALL:
         for axiom in AXIOM_IDS:
@@ -360,14 +388,16 @@ def test_very_sadistic_witness_absent_for_sign_respecting_criteria():
 
 @pytest.fixture(scope="module")
 def matrix():
-    # The matrix takes the suite's A4, A5 and A8 reports and the
-    # repugnant-conclusion searches, as the ethics command passes them.
+    # The matrix takes check_axioms' A4, A5, A8 and negative-expansion
+    # reports and the repugnant-conclusion searches, as the ethics
+    # command passes them.
     criteria = default_criteria()
     suite = list(zip(*(check_axioms(criteria, axiom, samples=300, seed=0)
-                       for axiom in ("A4", "A5", "A8"))))
+                       for axiom in ("A4", "A5", "A8",
+                                     "negative-expansion"))))
     repugnant = [repugnant_witness(crit, Allocation.of(100.0), 0.1, 100_000)
                  for crit in criteria]
-    return property_matrix(criteria, suite, repugnant, budget=300, seed=0)
+    return property_matrix(criteria, suite, repugnant)
 
 
 def cell(matrix, criterion_label, prop):
@@ -439,15 +469,17 @@ def _suite(criteria, axioms):
 def test_matrix_marks_follow_the_criterion_kind():
     # A transformed CU is still CU in the published table.
     crit = WelfareCriterion("CU", u=UtilityTransform("power", 0.5))
-    got = property_matrix([crit], _suite([crit], ("A4", "A5", "A8")), [None],
-                          budget=50)
+    got = property_matrix(
+        [crit], _suite([crit], ("A4", "A5", "A8", "negative-expansion")),
+        [None])
     assert _marks(got, crit.label) == list(zip(MATRIX_PROPERTIES,
                                                PUBLISHED_MARKS["CU"]))
 
 
 def test_matrix_needs_the_suite_a8_report():
     with pytest.raises(KeyError):
-        property_matrix([CU], _suite([CU], ("A4", "A5")), [None], budget=50)
+        property_matrix(
+            [CU], _suite([CU], ("A4", "A5", "negative-expansion")), [None])
 
 
 def test_matrix_not_machine_checked_columns(matrix):

@@ -160,7 +160,8 @@ def reference_solve(params, grid, max_iters=500, controls=None,
         else:
             return SolverConvergenceError(
                 f"row {i} did not converge in {max_iters} iterations "
-                f"(last residual {residual:.3e})", residual=residual, row=i)
+                f"(last residual {residual:.3e}, tol {tol:.3e})",
+                residual=residual, row=i)
         V[i] = v
         L_field[i, 1:] = Lk
     return V, L_field
