@@ -3,9 +3,10 @@
 Subcommands: solve (grid solve, exports value/policy fields), simulate
 (closed-loop trajectory), ethics (axiom suite, property matrix and
 conclusion witness searches), sensitivity (criterion-derived and fixed
-death-cost ladder). Exit codes: 0 success, 1 configuration error,
-2 solver failure: non-convergence, a non-finite value, or a state
-leaving [0, 1].
+death-cost ladder). Exit codes: 0 success, 1 configuration error
+(an unreadable config, or an output directory or file that cannot be
+written), 2 solver failure: non-convergence, a non-finite value, or a
+state leaving [0, 1].
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             try:
-                text = Path(args.config).read_text()
-            except OSError as exc:
+                text = Path(args.config).read_text(encoding="utf-8-sig")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
         else:
             text = ""
@@ -197,12 +198,15 @@ def main(argv=None) -> int:
             _cmd_ethics(cfg, out)
         else:
             _cmd_sensitivity(cfg, out)
+        write_manifest(out / "run_manifest", args.command, cfg,
+                       time.perf_counter() - t0)
     except (SolverConvergenceError, SolverNumericalError,
             IntegrationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    write_manifest(out / "run_manifest", args.command, cfg,
-                   time.perf_counter() - t0)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

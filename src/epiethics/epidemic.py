@@ -5,7 +5,8 @@ intensity L removes a fraction theta*L of contacts on both sides of a
 meeting, so new infections scale with (1 - theta*L)^2. Infected people
 exit at rate gamma; of the exit flow, a congestion-dependent share
 phi(I) = phi0 + kappa*I dies and the rest recovers. All rates are per
-year and all compartments are fractions of the initial population.
+year and all compartments are fractions of the initial population. The
+flows are written once, in _flows, for RK4 here and the grid solver.
 """
 
 from __future__ import annotations
@@ -178,11 +179,6 @@ class Trajectory:
         return self.t.size
 
 
-def _fatality(I, params: PlannerParams):
-    # phi(I) = phi0 + kappa*I, unchecked, for floats or arrays.
-    return params.phi0 + params.kappa * I
-
-
 def basic_reproduction_number(params: PlannerParams) -> float:
     """R0 = beta / gamma for the uncontrolled epidemic."""
     return params.beta_contact / params.gamma
@@ -198,16 +194,20 @@ def _check_lockdown(L: float, params: PlannerParams):
         raise ValueError(f"lockdown L={L!r} outside [0, {params.L_bar}]")
 
 
-def _rhs(y, L, params: PlannerParams):
-    # The SIR right-hand side (dS, dI, dR, dD) at y = (S, I, ...),
-    # unchecked. The flows are paired so the four cancel to zero up to a
-    # couple of rounding ulps. Plain arithmetic, so S, I and L may be
-    # floats or broadcastable arrays; the closed loop and the planner's
-    # grid solver both read it.
-    S, I = y[0], y[1]
+def _flows(S, I, L, params: PlannerParams):
+    # The three SIR flows, unchecked, each written only here: infections
+    # beta*S*I*(1 - theta*L)^2, exits gamma*I and deaths phi(I)*I with
+    # phi(I) = phi0 + kappa*I. Floats or broadcastable arrays; _rhs and
+    # the planner's grid solver both read it.
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I
-    dD = _fatality(I, params) * I
+    return flow, exits, (params.phi0 + params.kappa * I) * I
+
+
+def _rhs(S, I, L, params: PlannerParams):
+    # The SIR right-hand side (dS, dI, dR, dD), unchecked: _flows paired
+    # so the four cancel to zero up to a couple of rounding ulps.
+    flow, exits, dD = _flows(S, I, L, params)
     return (-flow, flow - exits, exits - dD, dD)
 
 
@@ -234,7 +234,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
 
     The loop also integrates the two discounted flow costs with the same
     RK4 weights: exp(-(r+nu)t) times _lockdown_loss, and exp(-(r+nu)t)
-    times the death flow dD of _rhs times params.death_price. The
+    times the death flow dD of _flows times params.death_price. The
     discount factor is evaluated once per distinct stage time: the
     mid-step value serves stages 2 and 3, and the end-of-step value is
     the next step's start. Returns the sampled trajectory and
@@ -306,19 +306,19 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         t_mid = t + half
         t_end = t + h
         L1 = control(S, I, R, D, t)
-        dS1, dI1, dR1, dD1 = rhs((S, I), L1, params)
+        dS1, dI1, dR1, dD1 = rhs(S, I, L1, params)
         S2, I2 = S + half * dS1, I + half * dI1
         R2, D2 = R + half * dR1, D + half * dD1
         L2 = control(S2, I2, R2, D2, t_mid)
-        dS2, dI2, dR2, dD2 = rhs((S2, I2), L2, params)
+        dS2, dI2, dR2, dD2 = rhs(S2, I2, L2, params)
         S3, I3 = S + half * dS2, I + half * dI2
         R3, D3 = R + half * dR2, D + half * dD2
         L3 = control(S3, I3, R3, D3, t_mid)
-        dS3, dI3, dR3, dD3 = rhs((S3, I3), L3, params)
+        dS3, dI3, dR3, dD3 = rhs(S3, I3, L3, params)
         S4, I4 = S + h * dS3, I + h * dI3
         R4, D4 = R + h * dR3, D + h * dD3
         L4 = control(S4, I4, R4, D4, t_end)
-        dS4, dI4, dR4, dD4 = rhs((S4, I4), L4, params)
+        dS4, dI4, dR4, dD4 = rhs(S4, I4, L4, params)
 
         sixth = h / 6.0
         disc_mid = exp(-rho * t_mid)

@@ -72,7 +72,7 @@ from importlib.util import find_spec, module_from_spec
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, \
-    basic_reproduction_number, _integrate, _lockdown_loss, _require, _rhs
+    basic_reproduction_number, _flows, _integrate, _lockdown_loss, _require
 
 __all__ = [
     "GridSpec",
@@ -292,15 +292,15 @@ def boundary_value_s_zero(I, params: PlannerParams):
 
 def _row_quantities(S, I, L, params: PlannerParams, price=None):
     # Drift and cost pieces at nodes I (any shape) under lockdown L
-    # (broadcastable against I), all from epidemic._rhs: the infection
-    # flow -dS, the I-drift dI, and the flow cost, lockdown output loss
-    # plus the death flow dD valued at price. price, the value of one
-    # death, defaults to params.death_price; the stacked solve passes one
-    # per scenario, shaped to broadcast over its leading axis.
+    # (broadcastable against I), all from epidemic._flows: the infection
+    # flow, the I-drift flow - exits, and the flow cost, lockdown output
+    # loss plus the death flow dD valued at price. price, the value of
+    # one death, defaults to params.death_price; the stacked solve passes
+    # one per scenario, shaped to broadcast over its leading axis.
     if price is None:
         price = params.death_price
-    dS, dI, _, dD = _rhs((S, I), L, params)
-    return -dS, dI, _lockdown_loss(S, I, L, params) + dD * price
+    flow, exits, dD = _flows(S, I, L, params)
+    return flow, flow - exits, _lockdown_loss(S, I, L, params) + dD * price
 
 
 def _hamiltonian(flow, f_I, cost, DS, DIp, DIm):

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 import conftest
 from epiethics.cli import main as cli_main
-from epiethics.epidemic import EpidemicState, PlannerParams, _fatality
+from epiethics.epidemic import EpidemicState, PlannerParams, _flows
 from epiethics.ethics import (Allocation, Ordering, WelfareCriterion,
                               check_axiom, compare, criterion_value,
                               repugnant_witness, replay_witness,
@@ -99,8 +99,9 @@ def ladder_report():
 
 def test_criterion_1_fatality_anchors():
     g = PARAMS.gamma
-    lo = _fatality(0.0, PARAMS)
-    hi = _fatality(0.4, PARAMS)
+    # phi(I) is the death flow per infected; phi(0) is phi0 itself.
+    lo = PARAMS.phi0
+    hi = _flows(0.6, 0.4, 0.0, PARAMS)[2] / 0.4
     ok = lo == 0.01 * g and abs(hi - 0.03 * g) <= 1e-15 * g
     report(1, ok,
            f"phi(0)={lo!r} vs 0.01*gamma={0.01 * g!r}; "

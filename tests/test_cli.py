@@ -329,6 +329,43 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: cannot read")
 
 
+def test_non_utf8_config_exits_1_without_traceback(tmp_path, capsys):
+    # A config that is not UTF-8 is an unreadable config like an absent
+    # one: exit 1 with a one-line message, not a decoding traceback.
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "solve"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config")
+    assert "Traceback" not in err
+
+
+def test_config_with_byte_order_mark_is_read(tmp_path):
+    # Editors that save UTF-8 with a byte-order mark must not turn the
+    # first key into an unknown one.
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + FAST_GRID.encode() + b"seed=3\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "solve"]) == 0
+    assert "seed=3" in (out / "run_manifest").read_text().splitlines()
+
+
+def test_unwritable_output_file_exits_1_without_manifest(tmp_path, capsys):
+    # An artifact path that cannot be opened for writing is a
+    # configuration error like an uncreatable output directory.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_S=20\nn_I=20\nn_L=5\n")
+    out = tmp_path / "out"
+    (out / "value.csv").mkdir(parents=True)
+    rc = main(["--config", str(cfg), "--out", str(out), "solve"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:")
+    assert "value.csv" in err
+    assert not (out / "run_manifest").exists()
+
+
 def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     blocker = tmp_path / "a-file"

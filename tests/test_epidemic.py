@@ -18,7 +18,7 @@ from epiethics import EpidemicState, PlannerParams
 from epiethics.epidemic import (
     IntegrationError,
     ParameterError,
-    _fatality,
+    _flows,
     _rhs,
     basic_reproduction_number,
     integrate_trajectory,
@@ -39,17 +39,22 @@ def constant(L):
 # fatality-rate calibration
 # ---------------------------------------------------------------------------
 
+def fatality(I):
+    # phi(I), the share of exits that die: the death flow per infected.
+    return _flows(0.0, I, 0.0, PARAMS)[2] / I
+
+
 def test_fatality_rate_anchors_exact():
     # Anchors: 1% of the exit rate with no load, 3% at 40% prevalence.
-    assert _fatality(0.0, PARAMS) == 0.01 * PARAMS.gamma
-    assert abs(_fatality(0.4, PARAMS) - 0.03 * PARAMS.gamma) < 1e-15
+    assert PARAMS.phi0 == 0.01 * PARAMS.gamma
+    assert abs(fatality(0.4) - 0.03 * PARAMS.gamma) < 1e-15
     # Affine interpolation puts the midpoint anchor at 2%.
-    assert abs(_fatality(0.2, PARAMS) - 0.02 * PARAMS.gamma) < 1e-15
+    assert abs(fatality(0.2) - 0.02 * PARAMS.gamma) < 1e-15
 
 
 def test_fatality_rate_affine_in_prevalence():
     i = np.linspace(0.0, 1.0, 11)
-    rates = _fatality(i, PARAMS)
+    rates = np.concatenate(([PARAMS.phi0], fatality(i[1:])))
     np.testing.assert_allclose(np.diff(rates, 2), 0.0, atol=1e-15)
     assert np.all(np.diff(rates) > 0.0)
 
@@ -72,27 +77,27 @@ def test_reproduction_number():
 
 def test_derivatives_vanish_without_infection():
     state = EpidemicState(S=0.7, I=0.0, R=0.3)
-    assert _rhs((state.S, state.I), 0.0, PARAMS) == (0.0, 0.0, 0.0, 0.0)
+    assert _rhs(state.S, state.I, 0.0, PARAMS) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_infection_flow_matches_mass_action():
-    dS, dI, dR, dD = _rhs((START.S, START.I), 0.0, PARAMS)
+    dS, dI, dR, dD = _rhs(START.S, START.I, 0.0, PARAMS)
     assert dS == -(PARAMS.beta_contact * 0.98 * 0.02)
     # All of the outflow from S enters I; exits split between R and D.
     assert dI == -dS - PARAMS.gamma * 0.02
-    assert dD == _fatality(0.02, PARAMS) * 0.02
+    assert dD == (PARAMS.phi0 + PARAMS.kappa * 0.02) * 0.02
     assert dR == PARAMS.gamma * 0.02 - dD
 
 
 def test_full_lockdown_quarters_transmission():
     # With contact effectiveness 0.5, L = 1 scales the flow by (1-0.5)^2.
-    open_flow = _rhs((START.S, START.I), 0.0, PARAMS)[0]
-    shut_flow = _rhs((START.S, START.I), 1.0, PlannerParams(L_bar=1.0))[0]
+    open_flow = _rhs(START.S, START.I, 0.0, PARAMS)[0]
+    shut_flow = _rhs(START.S, START.I, 1.0, PlannerParams(L_bar=1.0))[0]
     assert shut_flow == 0.25 * open_flow
 
 
 def test_lockdown_monotonically_suppresses_flow():
-    flows = [-_rhs((START.S, START.I), L, PARAMS)[0]
+    flows = [-_rhs(START.S, START.I, L, PARAMS)[0]
              for L in np.linspace(0.0, PARAMS.L_bar, 8)]
     assert all(a > b for a, b in zip(flows, flows[1:]))
 
@@ -103,7 +108,7 @@ def test_derivatives_conserve_population():
         s, i, r, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
         state = EpidemicState(S=s, I=i, R=r, D=d)
         L = rng.uniform(0.0, PARAMS.L_bar)
-        assert abs(sum(_rhs((state.S, state.I), L, PARAMS))) < 1e-14
+        assert abs(sum(_rhs(state.S, state.I, L, PARAMS))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,7 @@ def test_escape_raises_integration_error(monkeypatch):
     # the per-step bounds check rather than silently clipped.
     from epiethics import epidemic as mod
 
-    def bad_rhs(y, L, params):
+    def bad_rhs(S, I, L, params):
         return np.array([50.0, 0.0, 0.0, 0.0])
 
     monkeypatch.setattr(mod, "_rhs", bad_rhs)

@@ -28,7 +28,7 @@ def bits(x) -> bytes:
 def test_row_quantities_and_flow_cost_are_the_dynamics(tau):
     params = PlannerParams(tau=tau, chi=3.0)
     for S, I, L in itertools.product(LEVELS, repeat=3):
-        dS, dI, _, dD = _rhs((S, I), L, params)
+        dS, dI, _, dD = _rhs(S, I, L, params)
         flow, f_I, cost = _row_quantities(S, I, L, params)
         assert bits(flow) == bits(-dS)
         assert bits(f_I) == bits(dI)
