@@ -197,18 +197,11 @@ def _check_lockdown(L: float, params: PlannerParams):
 def _flows(S, I, L, params: PlannerParams):
     # The three SIR flows, unchecked, each written only here: infections
     # beta*S*I*(1 - theta*L)^2, exits gamma*I and deaths phi(I)*I with
-    # phi(I) = phi0 + kappa*I. Floats or broadcastable arrays; _rhs and
-    # the planner's grid solver both read it.
+    # phi(I) = phi0 + kappa*I. Floats or broadcastable arrays; the RK4
+    # loop and the planner's grid solver both read it.
     flow = params.beta_contact * S * I * (1.0 - params.theta * L) ** 2
     exits = params.gamma * I
     return flow, exits, (params.phi0 + params.kappa * I) * I
-
-
-def _rhs(S, I, L, params: PlannerParams):
-    # The SIR right-hand side (dS, dI, dR, dD), unchecked: _flows paired
-    # so the four cancel to zero up to a couple of rounding ulps.
-    flow, exits, dD = _flows(S, I, L, params)
-    return (-flow, flow - exits, exits - dD, dD)
 
 
 def _lockdown_loss(S, I, L, params: PlannerParams):
@@ -248,12 +241,15 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     few of their steps: the benchmark sweep's six start 0 to 206 of
     their 7,300 steps locked down.
 
-    The loop runs on plain floats but keeps, value by value, the
-    operation order of the equivalent loop over numpy state vectors, so
-    its output is bit for bit the same; tests/test_rk4_reference.py keeps
-    that array loop and checks the equality. horizon and dt must be
-    positive and finite; NaN is refused by name. Samples go into four
-    1-D columns, one per compartment, which the Trajectory keeps.
+    The loop runs on plain floats but keeps, value by value, the operation
+    order of the equivalent loop over numpy state vectors, so its output is
+    bit for bit the same; tests/test_rk4_reference.py keeps that array loop
+    and checks the equality. Each stage makes one _flows call, and
+    S - half * flow is S + half * (-flow) by IEEE 754. The step adds
+    sixth * (-f1 - ...) to S, as S - sixth * (f1 + ...) would differ if zero
+    flows of both signs met a start at S = -0.0. horizon and dt must be
+    positive and finite; NaN is refused by name. Samples go into four 1-D
+    columns, one per compartment, which the Trajectory keeps.
 
     The [0, 1] clips are comparisons: x < 0.0 -> 0.0, x > 1.0 -> 1.0 is
     exactly min(max(x, 0.0), 1.0), as max returns its first argument
@@ -296,7 +292,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     price = params.death_price
     rho = params.discount_rate
     # Looked up once per call, not per stage; still the one home of each.
-    rhs, loss = _rhs, _lockdown_loss
+    flows, loss = _flows, _lockdown_loss
     exp = math.exp
     disc = exp(-rho * t)
     gdp_loss = death_cost = 0.0
@@ -306,19 +302,23 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
         t_mid = t + half
         t_end = t + h
         L1 = control(S, I, R, D, t)
-        dS1, dI1, dR1, dD1 = rhs(S, I, L1, params)
-        S2, I2 = S + half * dS1, I + half * dI1
+        f1, e1, dD1 = flows(S, I, L1, params)
+        dI1, dR1 = f1 - e1, e1 - dD1
+        S2, I2 = S - half * f1, I + half * dI1
         R2, D2 = R + half * dR1, D + half * dD1
         L2 = control(S2, I2, R2, D2, t_mid)
-        dS2, dI2, dR2, dD2 = rhs(S2, I2, L2, params)
-        S3, I3 = S + half * dS2, I + half * dI2
+        f2, e2, dD2 = flows(S2, I2, L2, params)
+        dI2, dR2 = f2 - e2, e2 - dD2
+        S3, I3 = S - half * f2, I + half * dI2
         R3, D3 = R + half * dR2, D + half * dD2
         L3 = control(S3, I3, R3, D3, t_mid)
-        dS3, dI3, dR3, dD3 = rhs(S3, I3, L3, params)
-        S4, I4 = S + h * dS3, I + h * dI3
+        f3, e3, dD3 = flows(S3, I3, L3, params)
+        dI3, dR3 = f3 - e3, e3 - dD3
+        S4, I4 = S - h * f3, I + h * dI3
         R4, D4 = R + h * dR3, D + h * dD3
         L4 = control(S4, I4, R4, D4, t_end)
-        dS4, dI4, dR4, dD4 = rhs(S4, I4, L4, params)
+        f4, e4, dD4 = flows(S4, I4, L4, params)
+        dI4, dR4 = f4 - e4, e4 - dD4
 
         sixth = h / 6.0
         disc_mid = exp(-rho * t_mid)
@@ -334,7 +334,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
             + 2.0 * (disc_mid * (dD3 * price))
             + disc_end * (dD4 * price))
         disc = disc_end
-        S = S + sixth * (dS1 + 2.0 * dS2 + 2.0 * dS3 + dS4)
+        S = S + sixth * (-f1 - 2.0 * f2 - 2.0 * f3 - f4)
         I = I + sixth * (dI1 + 2.0 * dI2 + 2.0 * dI3 + dI4)
         R = R + sixth * (dR1 + 2.0 * dR2 + 2.0 * dR3 + dR4)
         D = D + sixth * (dD1 + 2.0 * dD2 + 2.0 * dD3 + dD4)
@@ -373,9 +373,7 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     L_end = control(S, I, R, D, t)
     Ls_out[n] = L_end
 
-    traj = Trajectory(t=ts, S=cols[0], I=cols[1], R=cols[2], D=cols[3],
-                      L=Ls)
-    return traj, (gdp_loss, death_cost)
+    return Trajectory(ts, *cols, Ls), (gdp_loss, death_cost)
 
 
 def integrate_trajectory(state0: EpidemicState, control,

@@ -808,8 +808,10 @@ def repugnant_witness(crit: WelfareCriterion, base: Allocation,
     """Smallest n <= n_max whose n copies of epsilon beat the base.
 
     Requires 0 < epsilon < every base level. Candidate sizes are located
-    with the closed-form uniform value and the hit is confirmed with a
-    full criterion evaluation; returns None when no size works.
+    with the closed-form uniform value, scanned upward in doubling
+    windows [1], [2, 3], [4, 7], ... up to the first window with a hit,
+    and the hit is confirmed with a full criterion evaluation; returns
+    None when no size works.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be strictly positive")
@@ -818,10 +820,14 @@ def repugnant_witness(crit: WelfareCriterion, base: Allocation,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     vb = criterion_value(base, crit)
-    ns = np.arange(1, n_max + 1)
-    vals = _uniform_value(epsilon, ns, crit)
-    strict = _orders(vals, vb) == 1
-    if not strict.any():
+    first = 1
+    while first <= n_max:
+        ns = np.arange(first, min(2 * first, n_max + 1))
+        strict = _orders(_uniform_value(epsilon, ns, crit), vb) == 1
+        if strict.any():
+            break
+        first *= 2
+    else:
         return None
     n_hit = int(ns[int(np.argmax(strict))])
     # Confirm with the exact evaluation; the closed form can differ by ulps.

@@ -19,7 +19,6 @@ from epiethics.epidemic import (
     IntegrationError,
     ParameterError,
     _flows,
-    _rhs,
     basic_reproduction_number,
     integrate_trajectory,
     stability_bound,
@@ -77,38 +76,39 @@ def test_reproduction_number():
 
 def test_derivatives_vanish_without_infection():
     state = EpidemicState(S=0.7, I=0.0, R=0.3)
-    assert _rhs(state.S, state.I, 0.0, PARAMS) == (0.0, 0.0, 0.0, 0.0)
+    assert _flows(state.S, state.I, 0.0, PARAMS) == (0.0, 0.0, 0.0)
 
 
 def test_infection_flow_matches_mass_action():
-    dS, dI, dR, dD = _rhs(START.S, START.I, 0.0, PARAMS)
-    assert dS == -(PARAMS.beta_contact * 0.98 * 0.02)
-    # All of the outflow from S enters I; exits split between R and D.
-    assert dI == -dS - PARAMS.gamma * 0.02
+    flow, exits, dD = _flows(START.S, START.I, 0.0, PARAMS)
+    assert flow == PARAMS.beta_contact * 0.98 * 0.02
+    assert exits == PARAMS.gamma * 0.02
     assert dD == (PARAMS.phi0 + PARAMS.kappa * 0.02) * 0.02
-    assert dR == PARAMS.gamma * 0.02 - dD
 
 
 def test_full_lockdown_quarters_transmission():
     # With contact effectiveness 0.5, L = 1 scales the flow by (1-0.5)^2.
-    open_flow = _rhs(START.S, START.I, 0.0, PARAMS)[0]
-    shut_flow = _rhs(START.S, START.I, 1.0, PlannerParams(L_bar=1.0))[0]
+    open_flow = _flows(START.S, START.I, 0.0, PARAMS)[0]
+    shut_flow = _flows(START.S, START.I, 1.0, PlannerParams(L_bar=1.0))[0]
     assert shut_flow == 0.25 * open_flow
 
 
 def test_lockdown_monotonically_suppresses_flow():
-    flows = [-_rhs(START.S, START.I, L, PARAMS)[0]
+    flows = [_flows(START.S, START.I, L, PARAMS)[0]
              for L in np.linspace(0.0, PARAMS.L_bar, 8)]
     assert all(a > b for a, b in zip(flows, flows[1:]))
 
 
-def test_derivatives_conserve_population():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s, i, r, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-        state = EpidemicState(S=s, I=i, R=r, D=d)
-        L = rng.uniform(0.0, PARAMS.L_bar)
-        assert abs(sum(_rhs(state.S, state.I, L, PARAMS))) < 1e-14
+def test_negative_zero_susceptible_start_steps_to_positive_zero():
+    # RK4 on state vectors adds h/6 times the sum of the negated flows to
+    # S. From S = -0.0 the four stage flows are zeros of both signs, whose
+    # negated sum is -0.0, and -0.0 + -0.0 would keep S at -0.0; the
+    # array form's sum of negated zeros is +0.0, which moves S to +0.0.
+    start = EpidemicState(S=-0.0, I=0.5, R=0.5)
+    traj = integrate_trajectory(start, constant(0.0), PARAMS,
+                                horizon=0.05, dt=1 / 365)
+    assert np.signbit(traj.S[0])
+    assert not np.signbit(traj.S[1:]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,10 @@ def test_escape_raises_integration_error(monkeypatch):
     # the per-step bounds check rather than silently clipped.
     from epiethics import epidemic as mod
 
-    def bad_rhs(S, I, L, params):
-        return np.array([50.0, 0.0, 0.0, 0.0])
+    def bad_flows(S, I, L, params):
+        return (-50.0, 0.0, 0.0)
 
-    monkeypatch.setattr(mod, "_rhs", bad_rhs)
+    monkeypatch.setattr(mod, "_flows", bad_flows)
     with pytest.raises(IntegrationError):
         integrate_trajectory(START, constant(0.0), PARAMS,
                              horizon=1.0, dt=1 / 365)

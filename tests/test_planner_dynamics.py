@@ -1,7 +1,7 @@
 """The planner solves the problem the closed loop simulates, bit for bit.
 
 planner._row_quantities gives the solver its infection flow, I-drift and
-flow cost; they must be the dynamics' own numbers (epidemic._rhs) and
+flow cost; they must be the dynamics' own numbers (epidemic._flows) and
 the cost must be the lockdown loss plus the death flow valued at
 PlannerParams.death_price, with no rounding apart. Nodes above the
 diagonal S + I = 1 are solver nodes too, so the checked points include
@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from epiethics.epidemic import PlannerParams, _lockdown_loss, _rhs
+from epiethics.epidemic import PlannerParams, _flows, _lockdown_loss
 from epiethics.planner import _row_quantities
 
 L_BAR = PlannerParams().L_bar
@@ -28,10 +28,10 @@ def bits(x) -> bytes:
 def test_row_quantities_and_flow_cost_are_the_dynamics(tau):
     params = PlannerParams(tau=tau, chi=3.0)
     for S, I, L in itertools.product(LEVELS, repeat=3):
-        dS, dI, _, dD = _rhs(S, I, L, params)
+        infections, exits, dD = _flows(S, I, L, params)
         flow, f_I, cost = _row_quantities(S, I, L, params)
-        assert bits(flow) == bits(-dS)
-        assert bits(f_I) == bits(dI)
+        assert bits(flow) == bits(infections)
+        assert bits(f_I) == bits(infections - exits)
         want = _lockdown_loss(S, I, L, params) + dD * params.death_price
         assert bits(cost) == bits(want)
 
