@@ -23,7 +23,7 @@ from .epidemic import (EpidemicState, ParameterError, PlannerParams,
                        stability_bound)
 from .ethics import (POP_CAP_MAX, UtilityTransform, WelfareCriterion,
                      default_criteria, level_bound)
-from .planner import GridSpec
+from .planner import GridSpec, resolved_tol
 from .sensitivity import DEFAULT_REFERENCE, VictimProfile
 
 __all__ = [
@@ -74,8 +74,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        _check(self.tol is None or self.tol > 0.0, "tol must be positive",
-               "tol")
+        # tol=auto resolves to 1e-8 * w, which underflows to 0 for a
+        # tiny w.
+        _check(resolved_tol(self.params, self.tol) > 0.0,
+               "tol must be positive", "tol", "w")
         for key in ("S0", "I0"):
             v = getattr(self, key)
             _check(0.0 <= v <= 1.0, f"{key} must lie in [0, 1], got {v!r}",

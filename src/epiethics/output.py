@@ -4,9 +4,10 @@ All numeric CSV cells are printed by fmt: decimal notation with at
 most nine significant digits, via numpy's positional formatter, where a
 value below 1 in magnitude is padded to 8 decimals. The field and
 trajectory CSVs, the large ones, print whole chunks of rows at once with
-fmt_many, which gives fmt's strings. Every file is written with plain
-"\\n" line endings so repeated runs are byte-identical (the run
-manifest's wall_time_s line is the one documented exception).
+fmt_many, which gives fmt's strings. Every file is written as UTF-8
+with plain "\\n" line endings, whatever the locale, so repeated runs are
+byte-identical (the run manifest's wall_time_s line is the one
+documented exception).
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def fmt_many(a) -> list[str]:
 _CHUNK_LINES = 9600
 
 
+def _open_text(path):
+    # Every artifact is UTF-8 with "\n" line endings, whatever the locale.
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
@@ -168,7 +174,7 @@ def _strided_indices(n: int, stride: int):
 
 def write_trajectory_csv(path, traj: Trajectory, stride: int = 1):
     idx = np.array(_strided_indices(len(traj), stride))
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         fh.write("t,S,I,R,D,L\n")
         for lo in range(0, idx.size, _CHUNK_LINES):
             k = idx[lo:lo + _CHUNK_LINES]
@@ -182,7 +188,7 @@ def write_fields_csv(path, value: ValueField, policy: PolicyField):
     i_labels = np.array(fmt_many(value.grid.i_nodes()), dtype=object)
     n_i = i_labels.size
     rows = max(1, _CHUNK_LINES // n_i)
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         fh.write("S,I,V,L\n")
         for lo in range(0, s_labels.size, rows):
             s = s_labels[lo:lo + rows]
@@ -193,7 +199,7 @@ def write_fields_csv(path, value: ValueField, policy: PolicyField):
 
 
 def write_summary(path, summary: ScenarioSummary):
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         for line in summary.as_lines():
             fh.write(line + "\n")
 
@@ -209,7 +215,7 @@ def write_ethics_csv(path, reports, matrix: PropertyMatrix, searches):
     non-axiom properties; searches: (criterion, property, verdict,
     witness) tuples from the conclusion witness hunts.
     """
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         w = _writer(fh)
         w.writerow(["criterion", "property", "verdict", "witness"])
         for rep in reports:
@@ -225,7 +231,7 @@ def write_ethics_csv(path, reports, matrix: PropertyMatrix, searches):
 
 
 def write_ethics_text(path, reports, matrix: PropertyMatrix, searches):
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         fh.write("# axiom suite\n")
         for rep in reports:
             fh.write(rep.line() + "\n")
@@ -240,7 +246,7 @@ def write_ethics_text(path, reports, matrix: PropertyMatrix, searches):
 
 
 def write_sensitivity_csv(path, report: SensitivityReport):
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         w = _writer(fh)
         w.writerow(["criterion", "cost_per_death", "peak_L",
                     "lockdown_years", "deaths", "gdp_loss", "value"])
@@ -251,7 +257,7 @@ def write_sensitivity_csv(path, report: SensitivityReport):
 
 
 def write_policy_diffs_csv(path, report: SensitivityReport):
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         w = _writer(fh)
         w.writerow(["criterion_a", "criterion_b", "policy_supnorm_diff"])
         for a, b, diff in report.policy_diffs:
@@ -286,5 +292,5 @@ def write_manifest(path, subcommand: str, cfg: RunConfig,
         f"scipy_version={_scipy_module('version').version}",
         f"wall_time_s={wall_time_s:.3f}",
     ]
-    with open(path, "w", newline="") as fh:
+    with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -560,13 +560,16 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     rho = params.discount_rate
     I_act = iN[1:]
 
-    # Each cost's outcome: None until it fails or its solve ends.
+    # Every per-cost structure is indexed by the cost's place k in costs:
+    # its outcome, None until it fails or its solve ends; its value and
+    # policy arrays, written row by row; its price of a death, broadcast
+    # over nodes and controls; its policy-iteration steps summed over
+    # rows and its worst final row residual, for its "solve finished"
+    # line; and its rows below the current one. A failed cost's rows are
+    # still extrapolated but never read again. live holds the k of each
+    # cost not failed so far; it and each row's working set are all that
+    # narrow.
     out = [None] * len(priced)
-    # The costs not failed so far, and for each of them, in the same
-    # order: its value and policy arrays, written row by row; its price
-    # of a death, broadcast over nodes and controls; its policy-iteration
-    # steps summed over rows and its worst final row residual, for its
-    # "solve finished" line; and its rows below the current one.
     live = np.arange(len(priced))
     Vs = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
     L_fields = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
@@ -581,23 +584,22 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     for i in range(1, grid.n_S):
         S = sN[i]
         v = _warm_start(v_prev, *older)
-        # The working set: the positions in v of the costs still
-        # iterating on this row, with their current rows, rows below and
-        # prices, narrowed only when some cost converges or fails.
-        at, w, below, pw = np.arange(live.size), v, v_prev, price
+        # The working set: the k of each cost still iterating on this
+        # row, with its current row, row below and price, narrowed only
+        # when some cost converges or fails.
+        at, w, below, pw = live, v[live], v_prev[live], price[live]
         for step in range(max_iters):
             Hk, Lk, flow_k, fI_k, cost_k = _row_minimize(
                 S, I_act, w, below, hS, hI, params, Ls, pw)
             residual = np.abs(rho * w[:, 1:] - Hk).max(axis=-1)
             if any(r < tol for r in residual.tolist()):
                 done = residual < tol
-                for pos, row, L, res in zip(at[done].tolist(), w[done],
-                                            Lk[done],
-                                            residual[done].tolist()):
-                    v[pos] = Vs[pos][i] = row
-                    L_fields[pos][i, 1:] = L
-                    steps[pos] += step    # its row solves on this row
-                    worst[pos] = max(worst[pos], res)
+                for k, row, L, res in zip(at[done].tolist(), w[done],
+                                          Lk[done], residual[done].tolist()):
+                    v[k] = Vs[k][i] = row
+                    L_fields[k][i, 1:] = L
+                    steps[k] += step      # its row solves on this row
+                    worst[k] = max(worst[k], res)
                 busy = ~done
                 at = at[busy]
                 if not at.size:
@@ -610,9 +612,9 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
             finite = np.isfinite(w_new)
             if not finite.all():
                 ok = finite.all(axis=-1)
-                for b in np.flatnonzero(~ok).tolist():
-                    j = int(np.argmin(finite[b])) + 1
-                    out[live[at[b]]] = SolverNumericalError(
+                for k, fin in zip(at[~ok].tolist(), finite[~ok]):
+                    j = int(np.argmin(fin)) + 1
+                    out[k] = SolverNumericalError(
                         f"non-finite value at node ({i}, {j})", node=(i, j))
                 at = at[ok]
                 if not at.size:
@@ -621,30 +623,23 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                     x[ok] for x in (w, below, pw, w_new, residual))
             w[:, 1:] = w_new
         else:
-            for b, res in zip(at.tolist(), residual.tolist()):
-                out[live[b]] = SolverConvergenceError(
+            for k, res in zip(at.tolist(), residual.tolist()):
+                out[k] = SolverConvergenceError(
                     f"row {i} did not converge in {max_iters} iterations "
                     f"(last residual {res:.3e}, tol {tol:.3e})",
                     residual=res, row=i)
-        kept = [out[k] is None for k in live.tolist()]
-        if not all(kept):
-            live, v, v_prev, price = (
-                x[kept] for x in (live, v, v_prev, price))
-            older = tuple(o[kept] for o in older)
-            Vs, L_fields, steps, worst = (
-                [a for a, keep in zip(items, kept) if keep]
-                for items in (Vs, L_fields, steps, worst))
-            if not live.size:
-                break
+        live = live[[out[k] is None for k in live.tolist()]]
+        if not live.size:
+            break
         v_prev, older = v, (v_prev, *older)[:2]
 
-    for pos, k in enumerate(live.tolist()):
+    for k in live.tolist():
         logger.info("solve finished, V(1,1)=%.6f, %d policy-iteration "
-                    "steps, worst row residual %.3e", Vs[pos][-1, -1],
-                    steps[pos], worst[pos])
+                    "steps, worst row residual %.3e", Vs[k][-1, -1],
+                    steps[k], worst[k])
         # ValueField keeps a copy; drop the raw array at once.
-        out[k] = (ValueField(grid, Vs[pos]), PolicyField(grid, L_fields[pos]))
-        Vs[pos] = None
+        out[k] = (ValueField(grid, Vs[k]), PolicyField(grid, L_fields[k]))
+        Vs[k] = None
     return out
 
 

@@ -386,6 +386,20 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert err.startswith("config error:") and "theta" in err
 
 
+def test_underflowing_auto_tol_exits_1_without_traceback(tmp_path):
+    # tol=auto is 1e-8 * w, which is 0 at w=1e-320: the config is refused
+    # before any solve starts.
+    cfg = tmp_path / "tiny-w.cfg"
+    cfg.write_text("n_S=5\nn_I=5\nw=1e-320\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "epiethics.cli", "--config", str(cfg),
+         "--out", str(out), "solve"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "config error: line 3: tol must be positive\n"
+
+
 def test_bad_overrides_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["--config", str(cfg), "--seed", "-1", "solve"]) == 1
@@ -489,6 +503,22 @@ def test_installed_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectory.csv").exists()
     assert (out / "run_manifest").exists()
+
+
+def test_artifacts_do_not_depend_on_the_locale_encoding(tmp_path):
+    # Every file is opened with an explicit encoding, so no command falls
+    # back to the locale's: its EncodingWarning is an error here.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_S=10\nn_I=10\nhorizon=1\nsamples=20\n"
+                   "criteria=CU,CLU:c=1\nladder=0\n")
+    for command in ("solve", "simulate", "ethics", "sensitivity"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "epiethics.cli",
+             "--config", str(cfg), "--out", str(tmp_path / command),
+             command],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, (command, proc.stderr)
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):

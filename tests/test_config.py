@@ -173,6 +173,8 @@ def test_domain_violations_name_the_key_and_line():
 def test_solver_and_ethics_knob_validation():
     with pytest.raises(ConfigError, match="tol must be positive"):
         parse_config("tol=0\n")
+    # A tiny w whose auto tol, 1e-8 * w, does not underflow still parses.
+    assert parse_config("w=1e-300\n").params.w == 1e-300
     with pytest.raises(ConfigError, match="max_iters"):
         parse_config("max_iters=0\n")
     with pytest.raises(ConfigError, match="at least one criterion"):
@@ -262,6 +264,9 @@ REJECTIONS = [
     ("n_I=2\n", "line 1: n_S and n_I must be at least 3"),
     ("n_L=1\n", "line 1: n_L must be at least 2"),
     ("tol=0\n", "line 1: tol must be positive"),
+    # tol=auto is 1e-8 * w, which underflows to 0; the line is that of w.
+    ("w=1e-320\n", "line 1: tol must be positive"),
+    ("n_S=5\nw=1e-320\n", "line 2: tol must be positive"),
     ("S0=1.5\n", "line 1: S0 must lie in [0, 1], got 1.5"),
     ("I0=-0.1\n", "line 1: I0 must lie in [0, 1], got -0.1"),
     ("S0=0.9\nI0=0.2\n", "line 2: S0 + I0 must not exceed 1, got 1.1"),

@@ -315,7 +315,7 @@ def test_finished_line_reports_steps_and_worst_residual(monkeypatch, caplog):
 SMALL = GridSpec(n_S=60, n_I=60)
 
 
-def test_iteration_bound_fails_only_the_costs_that_exceed_it():
+def test_iteration_bound_fails_only_the_costs_that_exceed_it(caplog):
     # The smallest bound at which some costs need more steps on some row
     # than it allows while a cost other than 0 (which converges at the
     # first step of every row) stays within it.
@@ -327,9 +327,21 @@ def test_iteration_bound_fails_only_the_costs_that_exceed_it():
             break
     else:
         pytest.fail("no bound splits the costs")
-    stacked = solve_stacked(PARAMS, SMALL, COSTS, max_iters=m)
+    with caplog.at_level(logging.INFO, logger="epiethics.planner"):
+        stacked = solve_stacked(PARAMS, SMALL, COSTS, max_iters=m)
+        finished = finished_lines(caplog.records)
+        caplog.clear()
+        for cost, f in zip(COSTS, failed):
+            if not f:
+                solve_value_function(priced(cost), SMALL, max_iters=m)
+        alone = finished_lines(caplog.records)
     for got, expect in zip(stacked, want):
         assert_same_outcome(got, expect)
+    # The survivors' "solve finished" lines, in the order of costs, are
+    # those of their own solves: the failures leave their steps and
+    # worst residuals untouched.
+    assert len(finished) == failed.count(False) > 1
+    assert finished == alone
 
 
 def poison_dear_blocks(real):
