@@ -18,12 +18,13 @@ every reported witness is replayable and small enough to verify by hand;
 check_axiom is its one-criterion case. Every sampled property, those of
 the property matrix included, comes from check_axioms: property_matrix
 only assembles its reports. Verdicts are statements about the sampled
-universe, not proofs. Except for A6 and A7, whose draws depend on
-earlier results and so on the criterion, a checker first draws all of
-its cases once for every criterion it is given, then evaluates each
-criterion on them in one vectorised batch per population size; each
-criterion's first failing case in draw order becomes its witness. A6
-batches each candidate critical level's cases the same way, for one
+universe, not proofs. Except for A6, whose draws depend on earlier
+results and so on the criterion, a checker draws its cases once for
+every criterion it is given and evaluates each criterion on them in one
+vectorised batch per population size; each criterion's first failing
+case in draw order becomes its witness. A7 shares its stream of tries
+the same way and bisects each criterion's pairs together. A6 batches
+each candidate critical level's cases in doubling windows, for one
 criterion, and replays the generator to its first failing case.
 """
 
@@ -287,18 +288,26 @@ def _value_error_bound(x: Allocation, crit: WelfareCriterion) -> float:
         scale / n if crit.kind == "AU" else scale)
 
 
-def _uniform_value(level: float, n, crit: WelfareCriterion):
+def _uniform_value(level, n, crit: WelfareCriterion):
     """criterion_value of n copies of one level, in closed form.
 
-    n may be an integer array; used by the witness searches so that
-    population sizes up to 1e5 stay cheap. n equal gains u(level) - u(c)
-    sum to n times the gain, average to the gain under AU, and under
-    RDCLU sum with the geometric rank weights.
+    level and n may be arrays, which broadcast; used by the witness
+    searches so that population sizes up to 1e5 stay cheap. n equal
+    gains u(level) - u(c) sum to n times the gain, average to the gain
+    under AU, and under RDCLU sum with the geometric rank weights. Each
+    level but the identity's is transformed as a lone float is, since
+    numpy's array power may round differently from its scalar power.
     """
     n = np.asarray(n, dtype=float)
-    gain = float(crit.u(level)) - float(crit.u(crit.c))
+    if np.ndim(level) == 0:
+        u = float(crit.u(level))
+    elif crit.u == IDENTITY:
+        u = level
+    else:
+        u = np.array([float(crit.u(v)) for v in level.tolist()])
+    gain = u - float(crit.u(crit.c))
     if crit.kind == "AU":
-        out = np.full_like(n, gain)
+        out = gain * np.ones_like(n)
     elif crit.kind == "RDCLU":
         b = crit.rank_discount
         out = gain * b * (1.0 - b ** n) / (1.0 - b)
@@ -576,19 +585,125 @@ def _check_negative_expansion(criteria, rng, samples, lo, hi, pop_cap):
                    judge)
 
 
-# Which cases A6 and A7 draw depends on the criterion's earlier
-# answers, so each criterion gets its own generator. Each returns
-# (verdict, witness, notes) for one criterion.
+def _check_egalitarian_equivalence(criteria, rng, samples, lo, hi, pop_cap):
+    # Existential: for sampled strict pairs x > y, search a level z and a
+    # population size n <= pop_cap with y < (z)_n < x, preferring the
+    # largest n. Each of min(samples, 50) pair slots takes the first try
+    # with x > y among its next 200, and is skipped if none has; the
+    # check passes if every pair has its (z)_n. A try draws x, then y,
+    # whatever the criterion, so one stream of tries, drawn in doubling
+    # chunks as the slots reach its end, serves every criterion: only
+    # where each criterion's slots end differs.
+    notes = f"existential search with population cap {pop_cap}"
+    budget = min(samples, 50)
+    tries = []
+    values = [np.empty((0, 2)) for _ in criteria]
+    strict = [np.zeros(0, dtype=bool) for _ in criteria]
+
+    def draw():
+        new = [(_rand_levels(rng, pop_cap, lo, hi),
+                _rand_levels(rng, pop_cap, lo, hi))
+               for _ in range(max(len(tries), 2 * budget))]
+        tries.extend(new)
+        batch = _Cases(new)
+        for ci, crit in enumerate(criteria):
+            values[ci] = np.concatenate((values[ci], batch.values(crit)))
+            strict[ci] = _orders(values[ci][:, 0], values[ci][:, 1]) == 1
+
+    results = []
+    for ci, crit in enumerate(criteria):
+        pairs, pos = [], 0
+        for _ in range(budget):
+            while True:
+                i = _first(strict[ci][pos:pos + 200])
+                if i is not None or len(tries) >= pos + 200:
+                    break
+                draw()
+            if i is None:
+                pos += 200
+            else:
+                pairs.append(pos + i)
+                pos += i + 1
+        vx, vy = values[ci][pairs].T
+        z, n = _egalitarian_levels(crit, vx, vy, lo, hi, pop_cap)
+        if not n.all():
+            results.append(("not-found-within-budget", None, notes))
+            continue
+        example = None
+        if pairs:
+            x, y = tries[pairs[-1]]
+            example = Witness("egalitarian-equivalent",
+                              {"x": _alloc(x), "y": _alloc(y),
+                               "z": float(z[-1]), "n": int(n[-1])})
+        results.append(("pass", example, notes))
+    return results
+
+
+def _egalitarian_levels(crit, vx, vy, lo, hi, pop_cap):
+    """Level z and size n of an egalitarian (z)_n valued strictly between
+    vy[i] and vx[i], for each pair i, with the largest such n; n is 0
+    where no size has one.
+
+    For each size n from pop_cap down, the uniform value is bisected for
+    the pair's midpoint within [lo - 2*span, hi + 2*span], for at most
+    200 steps, and (z)_n is confirmed with _welfare, batched per n; only
+    sizes whose uniform values at the two ends enclose the midpoint count.
+    Sizes come in doubling windows [pop_cap], [pop_cap - 1, pop_cap - 2],
+    ..., all (pair, size) lanes of a window in one array loop, and a pair
+    leaves at its first window with a hit. A lane whose step moves
+    neither end is at a fixed point that every later step repeats, so
+    the loop runs until no lane moves.
+    """
+    target = 0.5 * (vx + vy)
+    z_min, z_max = lo - 2.0 * (hi - lo), hi + 2.0 * (hi - lo)
+    z_at, n_at = np.zeros(len(target)), np.zeros(len(target), dtype=int)
+    open_ = np.arange(len(target))
+    top, width = pop_cap, 1
+    while open_.size and top >= 1:
+        ns = np.arange(top, max(top - width, 0), -1)
+        pair, n = np.repeat(open_, ns.size), np.tile(ns, open_.size)
+        t = target[pair]
+        bracketed = ((_uniform_value(z_min, n, crit) <= t)
+                     & (t <= _uniform_value(z_max, n, crit)))
+        z_lo, z_hi = np.full(t.size, z_min), np.full(t.size, z_max)
+        for _ in range(200):   # bisect the monotone uniform value
+            z_mid = 0.5 * (z_lo + z_hi)
+            below = _uniform_value(z_mid, n, crit) < t
+            moved = np.where(below, z_mid != z_lo, z_mid != z_hi)
+            z_lo = np.where(below, z_mid, z_lo)
+            z_hi = np.where(below, z_hi, z_mid)
+            if not moved.any():
+                break
+        z = 0.5 * (z_lo + z_hi)
+        vz = np.empty(z.size)
+        for m in ns:
+            at = n == m
+            vz[at] = _welfare(np.repeat(z[at, None], m, axis=1), crit)
+        hit = (bracketed & (_orders(vz, vy[pair]) == 1)
+               & (_orders(vz, vx[pair]) == -1)).reshape(-1, ns.size)
+        found, first = hit.any(axis=1), hit.argmax(axis=1)
+        z_at[open_[found]] = z.reshape(hit.shape)[found, first[found]]
+        n_at[open_[found]] = ns[first[found]]
+        open_ = open_[~found]
+        top -= width
+        width *= 2
+    return z_at, n_at
+
+
+# Which cases A6 draws depends on the criterion's earlier answers, so
+# each criterion gets its own generator, and it returns one (verdict,
+# witness, notes).
 
 
 def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
     # Existential: some c >= 0 such that appending a person at c to any
     # sampled allocation whose levels are all <= c leaves the order
-    # indifferent. Each candidate level draws all of its samples and
-    # judges them in one batch. A candidate that fails stops, case by
-    # case, at its first failing sample, so the generator is rewound and
-    # only the samples up to that one are drawn again: the next candidate
-    # then sees exactly the draws a case-by-case search would give it.
+    # indifferent. Each candidate level draws its samples in doubling
+    # windows of 1, 2, 4, ... and judges each window in one batch. A
+    # candidate that fails stops, case by case, at its first failing
+    # sample, so the generator is rewound to the window's start and only
+    # the samples up to that one are drawn again: the next candidate then
+    # sees exactly the draws a case-by-case search would give it.
     candidates = []
     if crit.kind in ("CLU", "RDCLU"):
         candidates.append(crit.c)
@@ -599,67 +714,24 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
             continue
         seen.add(c)
         top = min(c, hi)
-        state = rng.bit_generator.state
-        xs = [_rand_levels(rng, pop_cap, lo, top) for _ in range(samples)]
-        v = _Cases([([*x.tolist(), c], x) for x in xs]).values(crit)
-        i = _first(_orders(v[:, 0], v[:, 1]) != 0)
-        if i is None:
+        start, width = 0, 1
+        while start < samples:
+            state = rng.bit_generator.state
+            xs = [_rand_levels(rng, pop_cap, lo, top)
+                  for _ in range(min(width, samples - start))]
+            v = _Cases([([*x.tolist(), c], x) for x in xs]).values(crit)
+            i = _first(_orders(v[:, 0], v[:, 1]) != 0)
+            if i is not None:
+                rng.bit_generator.state = state
+                for _ in range(i + 1):
+                    _rand_levels(rng, pop_cap, lo, top)
+                break
+            start += width
+            width *= 2
+        else:
             return "pass", Witness("critical-level", {"c": c}), \
                 f"constructed critical level c={label_number(c)}"
-        rng.bit_generator.state = state
-        for _ in range(i + 1):
-            _rand_levels(rng, pop_cap, lo, top)
     return "not-found-within-budget", None, ""
-
-
-def _check_egalitarian_equivalence(crit, rng, samples, lo, hi, pop_cap):
-    # Existential: for sampled strict pairs x > y, search a level z and a
-    # population size n <= pop_cap with y < (z)_n < x, preferring the
-    # largest n the budget allows.
-    notes = f"existential search with population cap {pop_cap}"
-    pairs_budget = min(samples, 50)
-    found_all = True
-    example = None
-    for _ in range(pairs_budget):
-        x = y = None
-        for _ in range(200):
-            cx = _alloc(_rand_levels(rng, pop_cap, lo, hi))
-            cy = _alloc(_rand_levels(rng, pop_cap, lo, hi))
-            vx, vy = criterion_value(cx, crit), criterion_value(cy, crit)
-            if _orders(vx, vy) == 1:
-                x, y = cx, cy
-                break
-        if x is None:
-            continue
-        target = 0.5 * (vx + vy)
-        hit = None
-        span = hi - lo
-        for n in range(pop_cap, 0, -1):
-            z_lo, z_hi = lo - 2.0 * span, hi + 2.0 * span
-            if not (_uniform_value(z_lo, n, crit) <= target
-                    <= _uniform_value(z_hi, n, crit)):
-                continue
-            for _ in range(200):   # bisect the monotone uniform value
-                z_mid = 0.5 * (z_lo + z_hi)
-                if _uniform_value(z_mid, n, crit) < target:
-                    z_lo, moved = z_mid, z_mid != z_lo
-                else:
-                    z_hi, moved = z_mid, z_mid != z_hi
-                if not moved:
-                    break    # a fixed point: every later step repeats it
-            z = 0.5 * (z_lo + z_hi)
-            vz = criterion_value(Allocation.uniform(z, n), crit)
-            if _orders(vz, vy) == 1 and _orders(vz, vx) == -1:
-                hit = (z, n)
-                break
-        if hit is None:
-            found_all = False
-            break
-        example = Witness("egalitarian-equivalent",
-                          {"x": x, "y": y, "z": hit[0], "n": hit[1]})
-    if found_all:
-        return "pass", example, notes
-    return "not-found-within-budget", None, notes
 
 
 _SHARED_DRAW_CHECKERS = {
@@ -668,12 +740,9 @@ _SHARED_DRAW_CHECKERS = {
     "A3": _check_suppes_sen,
     "A4": partial(_existence_independence, best=True),
     "A5": partial(_existence_independence, best=False),
+    "A7": _check_egalitarian_equivalence,
     "A8": _check_same_number,
     "negative-expansion": _check_negative_expansion,
-}
-_PER_CRITERION_CHECKERS = {
-    "A6": _check_critical_level,
-    "A7": _check_egalitarian_equivalence,
 }
 
 
@@ -713,13 +782,17 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     each criterion reports its own first failing case in draw order, the
     case a case-by-case loop would stop at. These reports are the only
     sampled verdicts: property_matrix reads its sampled cells from them.
-    A6 and A7 are existential constructions whose draws depend on the
-    criterion; each criterion is searched with its own generator seeded
-    by seed, and may report "not-found-within-budget", which is weaker
-    than "fail". A6 judges all samples of a candidate critical level in
-    one batch, then rewinds the generator to just past the first failing
-    sample, so each candidate sees the draws a case-by-case search would
-    give it. A7 searches case by case.
+    A6 and A7 are existential constructions, which may report
+    "not-found-within-budget", weaker than "fail". A7's pair slots each
+    take the first strict try among their next 200, on one stream of
+    (x, y) tries that every criterion shares, since a try draws the same
+    whatever the criterion; each criterion's (pair, size) lanes are then
+    bisected in one array loop. A6's draws depend on the criterion, so
+    each criterion is searched with its own generator seeded by seed. It
+    judges a candidate critical level's samples in doubling windows of
+    1, 2, 4, ... samples, each in one batch, and on a failure rewinds the
+    generator to just past the failing sample, so each candidate sees the
+    draws a case-by-case search would give it.
     """
     if axiom not in AXIOM_TITLES:
         raise ValueError(f"unknown axiom id {axiom!r}")
@@ -737,10 +810,10 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
         raise ValueError(f"level range {(lo, hi)!r} exceeds the level bound "
                          f"max_float/(5*pop_cap) = {bound!r} in magnitude")
     criteria = tuple(criteria)
-    if axiom in _PER_CRITERION_CHECKERS:
-        check = _PER_CRITERION_CHECKERS[axiom]
-        results = [check(crit, np.random.default_rng(seed), samples, lo, hi,
-                         pop_cap) for crit in criteria]
+    if axiom == "A6":
+        results = [_check_critical_level(crit, np.random.default_rng(seed),
+                                         samples, lo, hi, pop_cap)
+                   for crit in criteria]
     else:
         results = _SHARED_DRAW_CHECKERS[axiom](
             criteria, np.random.default_rng(seed), samples, lo, hi, pop_cap)

@@ -332,7 +332,7 @@ def test_criterion_9_sensitivity_ladder(ladder_report):
 
 def _run_twice(tmp_path: Path, cfg_name: str, cfg_text: str, argv_tail):
     cfg = tmp_path / cfg_name
-    cfg.write_text(cfg_text)
+    cfg.write_text(cfg_text, encoding="utf-8")
     produced = []
     for sub in ("a", "b"):
         out = tmp_path / f"{cfg_name}.{sub}"
@@ -345,9 +345,9 @@ def _run_twice(tmp_path: Path, cfg_name: str, cfg_text: str, argv_tail):
     mismatched = []
     for name in names:
         if name == "run_manifest":
-            strip = lambda p: [ln for ln in (p / name).read_text()
-                               .splitlines() if not
-                               ln.startswith("wall_time_s=")]
+            strip = lambda p: [ln for ln in (p / name)
+                               .read_text(encoding="utf-8").splitlines()
+                               if not ln.startswith("wall_time_s=")]
             if strip(a) != strip(b):
                 mismatched.append(name)
         elif (a / name).read_bytes() != (b / name).read_bytes():

@@ -72,7 +72,7 @@ def test_benchmark_artifacts_keep_their_digests(tmp_path, command):
 
 
 def test_sweep_fields_keep_their_digest():
-    cfg = parse_config(CONFIG.read_text())
+    cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
     digest = hashlib.sha256()
     for value, policy in solve_stacked(cfg.params, cfg.grid, SWEEP_COSTS):
         digest.update(value.values.tobytes())

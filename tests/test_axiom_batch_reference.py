@@ -269,7 +269,7 @@ ETHICS_TXT_SHA256 = \
 
 def test_ethics_artifacts_keep_their_reference_digests(tmp_path):
     reference = json.loads((ROOT / "perfbench" / "reference.json")
-                           .read_text())
+                           .read_text(encoding="utf-8"))
     want = reference["workloads"]["quickstart"]["sha256"]
     out = tmp_path / "ethics"
     assert main(["--config", str(ROOT / "configs" / "benchmark.cfg"),

@@ -18,18 +18,18 @@ FAST_GRID = "n_S=40\nn_I=40\nn_L=11\n"
 
 def write_cfg(tmp_path: Path, extra: str = "") -> Path:
     path = tmp_path / "run.cfg"
-    path.write_text(FAST_GRID + extra)
+    path.write_text(FAST_GRID + extra, encoding="utf-8")
     return path
 
 
 def read_csv(path: Path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
 
 
 def manifest_without_walltime(path: Path):
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[-1].startswith("wall_time_s=")
     return lines[:-1]
 
@@ -52,7 +52,8 @@ def test_solve_writes_fields_and_manifest(tmp_path):
         assert "e" not in cell and "E" not in cell
     manifest = dict(
         line.split("=", 1)
-        for line in (out / "run_manifest").read_text().splitlines())
+        for line in (out / "run_manifest").read_text(
+            encoding="utf-8").splitlines())
     assert manifest["subcommand"] == "solve"
     assert len(manifest["config_sha256"]) == 64
     assert manifest["seed"] == "0"
@@ -95,7 +96,8 @@ def test_simulate_outputs_trajectory_and_summary(tmp_path):
     assert rows[0][0] == fmt(0.0)
     assert rows[-1][0] == fmt(3.0)          # last step always included
     summary = dict(line.split("=", 1)
-                   for line in (out / "summary.txt").read_text().splitlines())
+                   for line in (out / "summary.txt").read_text(
+                       encoding="utf-8").splitlines())
     for key in ("total_deaths", "gdp_loss", "death_cost", "value", "peak_I",
                 "peak_L", "lockdown_years", "lockdown_end", "horizon"):
         assert key in summary
@@ -122,7 +124,8 @@ def test_simulate_tau_override_changes_the_digest(tmp_path):
         assert rc == 0
         manifest = dict(
             line.split("=", 1)
-            for line in (out / "run_manifest").read_text().splitlines())
+            for line in (out / "run_manifest").read_text(
+                encoding="utf-8").splitlines())
         digests[tau] = manifest["config_sha256"]
     assert digests[0] != digests[1]
 
@@ -150,7 +153,7 @@ def test_ethics_outputs_suite_matrix_and_searches(tmp_path):
     by_key = {(r[0], r[1]): (r[2], r[3]) for r in searches}
     assert by_key[("TU", "repugnant-conclusion")][0] == "witness-found"
     assert by_key[("CLU(c=1)", "repugnant-conclusion")][0].startswith("none-")
-    text = (out / "ethics.txt").read_text()
+    text = (out / "ethics.txt").read_text(encoding="utf-8")
     assert "# axiom suite" in text
     assert "# property matrix" in text
     assert "# conclusion witness searches" in text
@@ -229,7 +232,8 @@ def test_every_stored_fail_witness_replays(tmp_path, monkeypatch):
     cfg = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                  "ethics"]) == 0
-    by_label = {c.label: c for c in parse_config(cfg.read_text()).criteria}
+    by_label = {c.label: c for c in parse_config(
+        cfg.read_text(encoding="utf-8")).criteria}
     stored = [(r.criterion, r.axiom, r.witness) for r in written["reports"]
               if r.verdict == "fail"]
     stored += [(c.criterion, c.prop, c.witness)
@@ -348,14 +352,15 @@ def test_config_with_byte_order_mark_is_read(tmp_path):
     cfg.write_bytes(b"\xef\xbb\xbf" + FAST_GRID.encode() + b"seed=3\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "solve"]) == 0
-    assert "seed=3" in (out / "run_manifest").read_text().splitlines()
+    assert "seed=3" in (out / "run_manifest").read_text(
+        encoding="utf-8").splitlines()
 
 
 def test_unwritable_output_file_exits_1_without_manifest(tmp_path, capsys):
     # An artifact path that cannot be opened for writing is a
     # configuration error like an uncreatable output directory.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_S=20\nn_I=20\nn_L=5\n")
+    cfg.write_text("n_S=20\nn_I=20\nn_L=5\n", encoding="utf-8")
     out = tmp_path / "out"
     (out / "value.csv").mkdir(parents=True)
     rc = main(["--config", str(cfg), "--out", str(out), "solve"])
@@ -369,7 +374,7 @@ def test_unwritable_output_file_exits_1_without_manifest(tmp_path, capsys):
 def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     blocker = tmp_path / "a-file"
-    blocker.write_text("")
+    blocker.write_text("", encoding="utf-8")
     rc = main(["--config", str(cfg), "--out", str(blocker / "x"), "ethics"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -379,7 +384,7 @@ def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
 
 def test_invalid_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("theta=1.5\n")
+    cfg.write_text("theta=1.5\n", encoding="utf-8")
     rc = main(["--config", str(cfg), "solve"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -390,12 +395,12 @@ def test_underflowing_auto_tol_exits_1_without_traceback(tmp_path):
     # tol=auto is 1e-8 * w, which is 0 at w=1e-320: the config is refused
     # before any solve starts.
     cfg = tmp_path / "tiny-w.cfg"
-    cfg.write_text("n_S=5\nn_I=5\nw=1e-320\n")
+    cfg.write_text("n_S=5\nn_I=5\nw=1e-320\n", encoding="utf-8")
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "epiethics.cli", "--config", str(cfg),
          "--out", str(out), "solve"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "config error: line 3: tol must be positive\n"
 
@@ -420,7 +425,7 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
 
 def test_nonconvergence_exits_2_without_manifest(tmp_path, capsys):
     cfg = tmp_path / "hard.cfg"
-    cfg.write_text("n_S=20\nn_I=20\nn_L=5\nmax_iters=1\n")
+    cfg.write_text("n_S=20\nn_I=20\nn_L=5\nmax_iters=1\n", encoding="utf-8")
     # The sweep's baseline solve fails like the others: no row absorbs it.
     for command in ("solve", "simulate", "sensitivity"):
         out = tmp_path / command
@@ -434,12 +439,13 @@ def test_nonconvergence_exits_2_without_manifest(tmp_path, capsys):
 def test_overflowing_death_price_exits_2_without_traceback(tmp_path):
     # The price is finite, but the row solve overflows at the first node.
     cfg = tmp_path / "dear.cfg"
-    cfg.write_text("n_S=20\nn_I=20\ncost_per_death=1.7e308\n")
+    cfg.write_text("n_S=20\nn_I=20\ncost_per_death=1.7e308\n",
+                   encoding="utf-8")
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "epiethics.cli",
          "--config", str(cfg), "--out", str(out), "solve"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 2, proc.stderr
     assert ("solver failure: non-finite value at node (1, 1)"
             in proc.stderr.splitlines())
@@ -452,12 +458,12 @@ def test_nonconvergence_names_its_tolerance(tmp_path):
     # sets the value's scale: at w=1e-6 the first row's residual stalls
     # above 1e-14, and the message says so.
     cfg = tmp_path / "poor.cfg"
-    cfg.write_text("n_S=20\nn_I=20\nw=1e-6\n")
+    cfg.write_text("n_S=20\nn_I=20\nw=1e-6\n", encoding="utf-8")
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "epiethics.cli", "--config", str(cfg),
          "--out", str(out), "solve"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 2, proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("solver failure: row 1 did not converge"), last
@@ -470,7 +476,8 @@ def test_overflowing_ladder_rung_fails_only_its_row(tmp_path, caplog):
     sweeps = {}
     for name, ladder in (("dear", "0,1.7e308"), ("plain", "0")):
         cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(f"n_S=20\nn_I=20\nhorizon=2\nladder={ladder}\n")
+        cfg.write_text(f"n_S=20\nn_I=20\nhorizon=2\nladder={ladder}\n",
+                       encoding="utf-8")
         out = tmp_path / name
         caplog.clear()
         with caplog.at_level(logging.WARNING):
@@ -499,7 +506,7 @@ def test_installed_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "epiethics.cli", "--config", str(cfg),
          "--out", str(out), "simulate", "--no-control"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectory.csv").exists()
     assert (out / "run_manifest").exists()
@@ -510,14 +517,14 @@ def test_artifacts_do_not_depend_on_the_locale_encoding(tmp_path):
     # back to the locale's: its EncodingWarning is an error here.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_S=10\nn_I=10\nhorizon=1\nsamples=20\n"
-                   "criteria=CU,CLU:c=1\nladder=0\n")
+                   "criteria=CU,CLU:c=1\nladder=0\n", encoding="utf-8")
     for command in ("solve", "simulate", "ethics", "sensitivity"):
         proc = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding",
              "-W", "error::EncodingWarning", "-m", "epiethics.cli",
              "--config", str(cfg), "--out", str(tmp_path / command),
              command],
-            capture_output=True, text=True)
+            capture_output=True, text=True, encoding="utf-8")
         assert proc.returncode == 0, (command, proc.stderr)
 
 
@@ -541,8 +548,9 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
         "print(loaded)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str([[False, False]] * 3)
-    manifest = (tmp_path / "out" / "run_manifest").read_text().splitlines()
+    manifest = (tmp_path / "out" / "run_manifest").read_text(
+        encoding="utf-8").splitlines()
     assert f"scipy_version={scipy.__version__}" in manifest

@@ -42,7 +42,7 @@ def test_empty_text_yields_the_benchmark_defaults():
 
 
 def test_shipped_benchmark_file_equals_defaults():
-    cfg = parse_config(BENCHMARK_CFG.read_text())
+    cfg = parse_config(BENCHMARK_CFG.read_text(encoding="utf-8"))
     assert cfg == parse_config("")
 
 

@@ -334,7 +334,7 @@ def test_row_solve_uses_the_routine_scipy_looks_up(first):
         "(gtsv,) = get_lapack_funcs(('gtsv',), (np.empty(0),))\n"
         "print(_gtsv() is gtsv)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
 

@@ -69,7 +69,7 @@ def test_checker_flags_unused_and_spares_the_exemptions():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def module_names(tree) -> dict:
@@ -134,12 +134,13 @@ def test_dead_name_checker_flags_only_unread_names():
 
 
 def test_package_has_no_dead_names():
-    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_names(sources) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_exports_only_names_it_binds(path):
-    tree = ast.parse(path.read_text())
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_exported(tree) - _bound(tree)) == []

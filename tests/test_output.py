@@ -121,7 +121,7 @@ def test_fmt_many_takes_any_shape():
 
 def reference_fields_csv(path, value, policy):
     # The per-row writer the bulk writer replaced.
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["S", "I", "V", "L"])
         for i, s in enumerate(value.grid.s_nodes()):
@@ -170,7 +170,8 @@ def test_strided_trajectory_csv_holds_the_stride_1_rows(
     monkeypatch.setattr(output, "_CHUNK_LINES", chunk_lines)
     traj = short_trajectory
     write_trajectory_csv(tmp_path / "full.csv", traj, 1)
-    lines = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    lines = (tmp_path / "full.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
     assert lines[0] == "t,S,I,R,D,L\n"
     assert lines[1:] == [",".join(fmt(col[k]) for col in (
         traj.t, traj.S, traj.I, traj.R, traj.D, traj.L)) + "\n"
@@ -179,4 +180,5 @@ def test_strided_trajectory_csv_holds_the_stride_1_rows(
         write_trajectory_csv(tmp_path / "strided.csv", traj, stride)
         kept = [lines[0]] + [lines[1 + k]
                              for k in _strided_indices(len(traj), stride)]
-        assert (tmp_path / "strided.csv").read_text() == "".join(kept)
+        assert (tmp_path / "strided.csv").read_text(encoding="utf-8") \
+            == "".join(kept)

@@ -37,7 +37,7 @@ from epiethics.sensitivity import death_cost_from_criterion
 
 CONFIG = parse_config(
     (Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg")
-    .read_text())
+    .read_text(encoding="utf-8"))
 PARAMS = CONFIG.params
 # The sweep's six distinct costs on the benchmark config: the baseline,
 # each criterion's derived cost and the ladder, first occurrence first.
