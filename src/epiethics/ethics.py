@@ -122,7 +122,10 @@ class UtilityTransform:
     """Continuous increasing map applied to levels before aggregation.
 
     kinds: "identity"; "power" with exponent eta in (0, 1), applied as
-    sign(v)*|v|**eta so it stays increasing on negatives.
+    sign(v)*|v|**eta so it stays increasing on negatives. A lone level
+    is raised as a one-element array, so it takes numpy's array power,
+    as rows and batches do, and gets the same bits wherever it is
+    transformed; the scalar power of a numpy float may round otherwise.
     """
 
     kind: str = "identity"
@@ -137,19 +140,16 @@ class UtilityTransform:
 
     def __call__(self, v):
         arr = np.asarray(v, dtype=float)
-        if self.kind == "identity":
-            out = arr
-        else:
-            out = np.sign(arr) * np.abs(arr) ** self.eta
-        return float(out) if out.ndim == 0 else out
+        if self.kind != "identity":
+            flat = arr.reshape(-1)
+            arr = (np.sign(flat) * np.abs(flat) ** self.eta).reshape(arr.shape)
+        return float(arr) if arr.ndim == 0 else arr
 
     def spec(self) -> str:
         if self.kind == "identity":
             return "identity"
         return f"pow{self.eta!r}"
 
-
-IDENTITY = UtilityTransform()
 
 _KINDS = ("CU", "TU", "CLU", "AU", "RDCLU")
 
@@ -171,7 +171,7 @@ class WelfareCriterion:
     kind: str
     c: float = 0.0                  # critical level (CLU / RDCLU only)
     rank_discount: float = 0.0      # per-rank discount (RDCLU only), in (0, 1)
-    u: UtilityTransform = IDENTITY
+    u: UtilityTransform = UtilityTransform()
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -211,29 +211,27 @@ def default_criteria() -> tuple:
     )
 
 
-def _rank_weights(n: int, crit: WelfareCriterion):
-    """Weight of each ascending rank r = 1..n: rank_discount**r under
-    RDCLU, 1 under every other kind."""
-    if crit.kind != "RDCLU":
-        return 1.0
-    return crit.rank_discount ** np.arange(1, n + 1, dtype=float)
+def _aggregate(terms: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
+    """Aggregate each row of a (k, n) array of terms, one per ascending
+    rank: RDCLU weights rank r = 1..n by rank_discount**r, AU averages,
+    and every kind sums."""
+    n = terms.shape[1]
+    if crit.kind == "RDCLU":
+        terms = crit.rank_discount ** np.arange(1, n + 1, dtype=float) * terms
+    total = np.sum(terms, axis=1)
+    return total / n if crit.kind == "AU" else total
 
 
 def _welfare(levels: np.ndarray, crit: WelfareCriterion) -> np.ndarray:
     """Welfare of each row of a (k, n) array of levels sorted ascending.
 
-    Every kind sums the critical-level gains u(x) - u(c) (Blackorby,
-    Bossert & Donaldson 2005), with c = 0 outside CLU and RDCLU and
-    u(0) = 0, so CU, TU and CLU differ only in c. RDCLU weights the
-    gains by rank and AU averages them. Aggregating sorted rows makes a
-    value exactly invariant under permutations of its row.
+    Every kind aggregates the critical-level gains u(x) - u(c)
+    (Blackorby, Bossert & Donaldson 2005), with c = 0 outside CLU and
+    RDCLU and u(0) = 0, so CU, TU and CLU differ only in c. Aggregating
+    sorted rows makes a value exactly invariant under permutations of
+    its row.
     """
-    n = levels.shape[1]
-    gains = crit.u(levels) - float(crit.u(crit.c))
-    if crit.kind == "RDCLU":
-        gains = _rank_weights(n, crit) * gains
-    total = np.sum(gains, axis=1)
-    return total / n if crit.kind == "AU" else total
+    return _aggregate(crit.u(levels) - float(crit.u(crit.c)), crit)
 
 
 class _Cases:
@@ -281,11 +279,8 @@ def _value_error_bound(x: Allocation, crit: WelfareCriterion) -> float:
     as does averaging under AU: (n + 4)*eps covers both twice over.
     """
     levels = np.sort([x.levels])
-    n = levels.shape[1]
-    scale = float(np.sum(_rank_weights(n, crit) * (
-        np.abs(crit.u(levels)) + abs(crit.u(crit.c)))))
-    return (n + 4) * np.finfo(float).eps * (
-        scale / n if crit.kind == "AU" else scale)
+    scale = _aggregate(np.abs(crit.u(levels)) + abs(crit.u(crit.c)), crit)
+    return (len(x) + 4) * np.finfo(float).eps * float(scale[0])
 
 
 def _uniform_value(level, n, crit: WelfareCriterion):
@@ -294,18 +289,10 @@ def _uniform_value(level, n, crit: WelfareCriterion):
     level and n may be arrays, which broadcast; used by the witness
     searches so that population sizes up to 1e5 stay cheap. n equal
     gains u(level) - u(c) sum to n times the gain, average to the gain
-    under AU, and under RDCLU sum with the geometric rank weights. Each
-    level but the identity's is transformed as a lone float is, since
-    numpy's array power may round differently from its scalar power.
+    under AU, and under RDCLU sum with the geometric rank weights.
     """
     n = np.asarray(n, dtype=float)
-    if np.ndim(level) == 0:
-        u = float(crit.u(level))
-    elif crit.u == IDENTITY:
-        u = level
-    else:
-        u = np.array([float(crit.u(v)) for v in level.tolist()])
-    gain = u - float(crit.u(crit.c))
+    gain = crit.u(level) - float(crit.u(crit.c))
     if crit.kind == "AU":
         out = gain * np.ones_like(n)
     elif crit.kind == "RDCLU":
@@ -782,6 +769,9 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     each criterion reports its own first failing case in draw order, the
     case a case-by-case loop would stop at. These reports are the only
     sampled verdicts: property_matrix reads its sampled cells from them.
+    A1 judges the order that compare induces, so its verdict inherits
+    compare's 1e-12 tie tolerance: indifference within it need not
+    chain, so levels within 1e-12 of zero can fail A1 on transitivity.
     A6 and A7 are existential constructions, which may report
     "not-found-within-budget", weaker than "fail". A7's pair slots each
     take the first strict try among their next 200, on one stream of

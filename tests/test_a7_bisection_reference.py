@@ -94,8 +94,10 @@ def test_a7_stops_at_the_fixed_point_with_the_same_witness(crit):
 
 # One check_axioms call judges every criterion on one stream of tries;
 # each report must still be the reference's for that criterion alone.
-# The power transform at eta = 0.3 is one whose array power rounds
-# differently from its scalar power on many levels.
+# The power transform at eta = 0.3 is one where numpy's power and the
+# C library's pow round many levels differently; the reference values
+# one level at a time and the checker whole arrays, so they agree only
+# if both take numpy's power.
 SHARED = CRITERIA + (
     WelfareCriterion("CLU", c=1.0, u=UtilityTransform("power", eta=0.3)),)
 

@@ -305,6 +305,38 @@ def test_escape_raises_integration_error(monkeypatch):
                              horizon=1.0, dt=1 / 365)
 
 
+# Each case starts at an edge of [0, 1] and drives one compartment
+# 5e-13 across it in one step, within the 1e-12 tolerance: (start, the
+# constant flows (infections, exits, deaths), compartment, clipped value).
+CLIPS = [
+    ((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0), "S", 0.0),
+    ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), "S", 1.0),
+    ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), "I", 0.0),
+    ((0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0), "I", 1.0),
+    ((0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0), "R", 0.0),
+    ((0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0), "R", 1.0),
+    ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0), "D", 0.0),
+    ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0), "D", 1.0),
+]
+
+
+@pytest.mark.parametrize("shares, flows, name, clipped", CLIPS,
+                         ids=[f"{name}-{'above' if clipped else 'below'}"
+                              for _, _, name, clipped in CLIPS])
+def test_small_excursions_are_clipped(monkeypatch, shares, flows, name,
+                                      clipped):
+    from epiethics import epidemic as mod
+
+    dt = 1 / 365
+    rate = 5e-13 / dt
+    monkeypatch.setattr(mod, "_flows", lambda S, I, L, params: tuple(
+        rate * f for f in flows))
+    traj = integrate_trajectory(EpidemicState(*shares), constant(0.0),
+                                PARAMS, horizon=dt, dt=dt)
+    assert getattr(traj, name)[1] == clipped
+    assert np.copysign(1.0, getattr(traj, name)[1]) == 1.0
+
+
 @pytest.mark.parametrize("shares", [(math.nan, 0.02, 0.0, 0.0),
                                     (0.98, 0.02, math.nan, 0.0)])
 def test_nan_state_raises_integration_error(shares):

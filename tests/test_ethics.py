@@ -28,7 +28,7 @@ from epiethics.ethics import (
     repugnant_witness,
     very_sadistic_witness,
 )
-from epiethics.ethics import _uniform_value
+from epiethics.ethics import _Cases, _uniform_value
 from test_axiom_batch_reference import Staircase, Undefined, Wobbly
 
 CU = WelfareCriterion("CU")
@@ -119,6 +119,28 @@ def test_utility_transforms():
         UtilityTransform("power", eta=1.5)
 
 
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.7])
+def test_every_value_path_takes_the_same_power(eta):
+    # A level transformed alone, in a row, in a batch or in the closed
+    # form gets the same bits: numpy's array power may round differently
+    # from the C library's scalar pow, so each path must use the same one.
+    crit = WelfareCriterion("CU", u=UtilityTransform("power", eta=eta))
+    levels = np.random.default_rng(0).uniform(-10.0, 10.0, 2000)
+    expected = [float(v).hex() for v in crit.u(levels)]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    assert bits(crit.u(float(v)) for v in levels) == expected
+    assert bits(_uniform_value(float(v), 1, crit) for v in levels) \
+        == expected
+    assert bits(_uniform_value(levels, 1, crit)) == expected
+    assert bits(_Cases([[[v]] for v in levels]).values(crit)[:, 0]) \
+        == expected
+    assert bits(criterion_value(Allocation((v,)), crit)
+                for v in levels) == expected
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -187,6 +209,16 @@ def test_order_axiom_passes_for_value_representations():
     for crit in ALL:
         rep = check_axiom(crit, "A1", samples=300, seed=1)
         assert rep.verdict == "pass"
+
+
+def test_order_axiom_inherits_the_tie_tolerance():
+    # CU values of levels within 1e-12 of zero differ by about the 1e-12
+    # tie tolerance, and indifference within it does not chain: x ~ y
+    # and y ~ z while z is strictly better than x.
+    rep = check_axiom(CU, "A1", level_range=(-1e-12, 1e-12))
+    assert rep.verdict == "fail"
+    assert rep.witness.kind == "transitivity"
+    assert replay_witness(CU, rep)
 
 
 def test_continuity_proxy_reports_modulus():
@@ -264,7 +296,16 @@ def test_same_number_consistency_verdicts():
         assert check_axiom(crit, "A8", samples=200, seed=8).verdict == "pass"
 
 
-# No proper criterion fails A1-A3, so improper transforms stand in there.
+class Tens(UtilityTransform):
+    """10*floor(v/10): every welfare value is a multiple of 10, so a
+    strict pair 10 apart has no uniform population strictly between."""
+
+    def __call__(self, v):
+        return 10.0 * np.floor(np.asarray(v, dtype=float) / 10.0)
+
+
+# No proper criterion fails A1-A3 or A7, so improper transforms stand in
+# there.
 KNOWN_VIOLATORS = [
     (WelfareCriterion("CU", u=Undefined()), "A1", "fail"),
     (WelfareCriterion("CU", u=Staircase()), "A2", "fail"),
@@ -272,6 +313,7 @@ KNOWN_VIOLATORS = [
     (AU, "A4", "fail"),
     (AU, "A5", "fail"),
     (AU, "A6", "not-found-within-budget"),
+    (WelfareCriterion("CU", u=Tens()), "A7", "not-found-within-budget"),
     (RD, "A8", "fail"),
     (AU, "negative-expansion", "fail"),
 ]
@@ -310,6 +352,19 @@ def test_checker_input_validation():
         check_axiom(CU, "A1", pop_cap=1)
     with pytest.raises(ValueError, match="pop_cap"):
         check_axiom(CU, "A1", pop_cap=2 ** 63)
+    for level_range in ((1.0, 1.0), (2.0, -2.0)):
+        with pytest.raises(ValueError,
+                           match="level range must be nondegenerate"):
+            check_axioms(ALL, "A1", level_range=level_range)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        repugnant_witness(TU, Allocation.of(100.0), 0.1, 0)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        very_sadistic_witness(CLU1, n_max=0)
+    with pytest.raises(ValueError,
+                       match="population size must be at least 1"):
+        Allocation.uniform(1.0, 0)
+    with pytest.raises(ValueError, match="unknown transform kind 'log'"):
+        UtilityTransform("log")
 
 
 def test_level_range_is_bounded_by_the_a7_bracket():

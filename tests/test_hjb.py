@@ -468,6 +468,9 @@ def test_solver_input_validation():
     with pytest.raises(ValueError, match="max_iters"):
         solve_value_function(PARAMS, GridSpec(n_S=5, n_I=5, n_L=3),
                              max_iters=0)
+    with pytest.raises(ValueError,
+                       match=r"infected share outside \[0, 1\]"):
+        boundary_value_s_zero(1.5, PARAMS)
 
 
 def test_grid_validation():
@@ -483,6 +486,10 @@ def test_field_validation():
         ValueField(grid, np.full((3, 3), -1e-6))
     with pytest.raises(ValueError, match="shape"):
         ValueField(grid, np.zeros((3, 4)))
+    nan_entry = np.ones((3, 3))
+    nan_entry[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite value entries"):
+        ValueField(grid, nan_entry)
     with pytest.raises(ValueError, match="outside"):
         PolicyField(grid, np.full((3, 3), 1.5))
     # Roundoff-scale negatives are clamped rather than rejected.
