@@ -103,8 +103,10 @@ def _cmd_simulate(cfg: RunConfig, out: Path, no_control: bool):
     if no_control:
         policy = None
     else:
+        # The closed loop reads only the policy: keep no value array.
         _, policy = solve_value_function(cfg.params, cfg.grid, tol=cfg.tol,
-                                         max_iters=cfg.max_iters)
+                                         max_iters=cfg.max_iters,
+                                         keep_values=False)
     traj, summary = simulate_optimal(policy, cfg.params, cfg.state0(),
                                      cfg.horizon, cfg.dt)
     logger.info("deaths=%.6f gdp_loss=%.6f death_cost=%.6f",

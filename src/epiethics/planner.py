@@ -72,7 +72,8 @@ from importlib.util import find_spec, module_from_spec
 import numpy as np
 
 from .epidemic import EpidemicState, PlannerParams, \
-    basic_reproduction_number, _flows, _integrate, _lockdown_loss, _require
+    basic_reproduction_number, _flows, _integrate, _lockdown_loss, \
+    _no_lockdown, _require
 
 __all__ = [
     "GridSpec",
@@ -140,7 +141,7 @@ class GridSpec:
 
 
 def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
-              hi=math.inf):
+              hi=math.inf, params: PlannerParams | None = None):
     """Clamped bilinear interpolation of a grid field, as f(S, I) -> float.
 
     (S, I) is clamped to the unit square and the result to [lo, hi]. The
@@ -157,7 +158,7 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     max and give the same bits: min and max return their first argument
     unless the other compares strictly past it, so a -0.0 stays -0.0
     either way, and no NaN reaches them. The result's clamp to [lo, hi]
-    keeps min and max; the zero-cell shortcut returns before it on most
+    keeps min and max; the zero-cell shortcut returns before it on many
     calls, so comparisons there measured no faster.
 
     A point in a cell whose four corners are all +0.0 gets the clamp of
@@ -167,6 +168,15 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     its product with +0.0 is +0.0, and so is the sum of the four. A -0.0
     corner keeps its cell off the mask, as the interpolation may then
     give -0.0.
+
+    Given params, returns (at, settled) for _integrate. settled(S, I)
+    holds when S >= 0, I >= 0, fl(beta*S) < gamma and every cell in
+    [0..i] x [0..j] is on the mask, with (i, j) the cell at() reads for
+    (S, I). That index never falls as S or I grows, so at() then returns
+    the clamp of +0.0, which is +0.0 for lo <= 0 <= hi, at every point
+    (S', I') with S' <= S and I' <= I. The rectangle test reads one
+    bound per row: reach[i], the fewest leading mask cells of any row
+    0..i, exceeds j exactly when the rectangle is on the mask.
     """
     sN, iN, hS, hI = _mesh(grid)
     s_nodes = sN.tolist()
@@ -175,8 +185,9 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     j_top = grid.n_I - 2
     field = memoryview(values)
     plus_zero = (values == 0.0) & ~np.signbit(values)
-    zero_cells = memoryview(plus_zero[:-1, :-1] & plus_zero[1:, :-1]
-                            & plus_zero[:-1, 1:] & plus_zero[1:, 1:])
+    zero_mask = (plus_zero[:-1, :-1] & plus_zero[1:, :-1]
+                 & plus_zero[:-1, 1:] & plus_zero[1:, 1:])
+    zero_cells = memoryview(zero_mask)
     at_zero = min(max(0.0, lo), hi)
 
     def at(S, I, *_):
@@ -203,7 +214,21 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
                        + (1 - xs) * xi * field[i, j + 1]
                        + xs * xi * field[i + 1, j + 1], lo), hi)
 
-    return at
+    if params is None:
+        return at
+    lead = np.where(zero_mask.all(axis=1), j_top + 1,
+                    zero_mask.argmin(axis=1))
+    reach = np.minimum.accumulate(lead).tolist()
+    beta, gamma = params.beta_contact, params.gamma
+
+    def settled(S, I):
+        # at()'s cell: for S, I >= 0 its comparison clamps are min's.
+        if not (S >= 0.0 and I >= 0.0 and beta * S < gamma):
+            return False
+        i = min(int(min(S, 1.0) / hS), i_top)
+        return min(int(min(I, 1.0) / hI), j_top) < reach[i]
+
+    return at, settled
 
 
 def _point(S, I):
@@ -246,9 +271,15 @@ class ValueField(_GridField):
 
     def __post_init__(self):
         v = self._checked()
-        if v.min() < -1e-12:
-            raise ValueError(f"negative value entry {v.min()!r}")
+        _check_floor(v.min())
         object.__setattr__(self, "values", np.maximum(v, 0.0))
+
+
+def _check_floor(lowest):
+    # Values below 0 by more than rounding are a fault: ValueField and a
+    # solve that keeps no value array both refuse them.
+    if lowest < -1e-12:
+        raise ValueError(f"negative value entry {lowest!r}")
 
 
 @dataclass(frozen=True)
@@ -493,7 +524,7 @@ def resolved_tol(params: PlannerParams, tol: float | None = None) -> float:
 
 def solve_value_function(params: PlannerParams, grid: GridSpec,
                          tol: float | None = None, max_iters: int = 500,
-                         controls=None):
+                         controls=None, keep_values: bool = True):
     """Solve the discrete Bellman equation; returns (ValueField, PolicyField).
 
     The I = 0 edge is pinned at 0 and the S = 0 edge at its closed form.
@@ -508,10 +539,11 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
     extrapolation of the three rows below it (a flat copy of row 0 for
     row 1, the linear one from rows 0 and 1 for row 2); the start only
     picks the first policy, so it changes the step count, not the fixed
-    point the residual test accepts. This is solve_stacked for one cost.
+    point the residual test accepts. This is solve_stacked for one cost;
+    with keep_values=False the value slot is None, as there.
     """
     (outcome,) = solve_stacked(params, grid, (params.cost_per_death,),
-                               tol, max_iters, controls)
+                               tol, max_iters, controls, keep_values)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -520,7 +552,7 @@ def solve_value_function(params: PlannerParams, grid: GridSpec,
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                   tol: float | None = None, max_iters: int = 500,
-                  controls=None) -> list:
+                  controls=None, keep_values: bool = True) -> list:
     """Solve the planner problem for several death costs in one row march.
 
     Returns a list aligned with costs. Each entry is what
@@ -541,6 +573,16 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     tol, max_iters or control set) is raised for the whole call. Each
     cost's "solve finished" INFO line gives its policy-iteration steps,
     summed over rows, and its worst final row residual.
+
+    With keep_values=False no full value array is kept: the march holds
+    only its row windows (the current row and the three below it, whose
+    last one gives the "solve finished" line's V(1,1)) and each solved
+    entry is (None, PolicyField). A caller that reads only policies, as
+    run_sensitivity and the simulate subcommand do, then holds one
+    n_S x n_I array per cost instead of two, and the policies, log
+    lines and errors are the same bit for bit. ValueField's floor check
+    still runs, on the minimum of each row: a value below -1e-12 raises
+    the same ValueError.
     """
     tol = resolved_tol(params, tol)
     if not tol > 0.0:                 # a NaN tol fails too
@@ -561,24 +603,28 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     I_act = iN[1:]
 
     # Every per-cost structure is indexed by the cost's place k in costs:
-    # its outcome, None until it fails or its solve ends; its value and
-    # policy arrays, written row by row; its price of a death, broadcast
-    # over nodes and controls; its policy-iteration steps summed over
-    # rows and its worst final row residual, for its "solve finished"
-    # line; and its rows below the current one. A failed cost's rows are
+    # its outcome, None until it fails or its solve ends; its policy
+    # array and, if kept, its value array, written row by row, or else
+    # its lowest value so far; its price of a death, broadcast over nodes
+    # and controls; its policy-iteration steps summed over rows and its
+    # worst final row residual, for its "solve finished" line; and its
+    # rows below the current one. A failed cost's rows are
     # still extrapolated but never read again. live holds the k of each
     # cost not failed so far; it and each row's working set are all that
     # narrow.
     out = [None] * len(priced)
     live = np.arange(len(priced))
-    Vs = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
     L_fields = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
-    for V, p in zip(Vs, priced):
-        V[0, :] = boundary_value_s_zero(iN, p)
+    v_prev = np.stack([boundary_value_s_zero(iN, p) for p in priced])
+    if keep_values:
+        Vs = [np.zeros((grid.n_S, grid.n_I)) for _ in priced]
+        for V, row in zip(Vs, v_prev):
+            V[0] = row
+    else:
+        lowest = v_prev.min(axis=-1)
     price = np.array([p.death_price for p in priced])[:, None, None]
     steps = [0] * len(priced)
     worst = [0.0] * len(priced)
-    v_prev = np.stack([V[0] for V in Vs])
     older = ()                        # rows i-2 and i-3, nearest first
 
     for i in range(1, grid.n_S):
@@ -596,7 +642,9 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
                 done = residual < tol
                 for k, row, L, res in zip(at[done].tolist(), w[done],
                                           Lk[done], residual[done].tolist()):
-                    v[k] = Vs[k][i] = row
+                    v[k] = row
+                    if keep_values:
+                        Vs[k][i] = row
                     L_fields[k][i, 1:] = L
                     steps[k] += step      # its row solves on this row
                     worst[k] = max(worst[k], res)
@@ -631,15 +679,22 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
         live = live[[out[k] is None for k in live.tolist()]]
         if not live.size:
             break
+        if not keep_values:
+            # Rows of failed costs may hold NaN; their entries go unread.
+            np.minimum(lowest, v.min(axis=-1), out=lowest)
         v_prev, older = v, (v_prev, *older)[:2]
 
     for k in live.tolist():
         logger.info("solve finished, V(1,1)=%.6f, %d policy-iteration "
-                    "steps, worst row residual %.3e", Vs[k][-1, -1],
+                    "steps, worst row residual %.3e", v_prev[k, -1],
                     steps[k], worst[k])
-        # ValueField keeps a copy; drop the raw array at once.
-        out[k] = (ValueField(grid, Vs[k]), PolicyField(grid, L_fields[k]))
-        Vs[k] = None
+        if keep_values:
+            # ValueField keeps a copy; drop the raw array at once.
+            value, Vs[k] = ValueField(grid, Vs[k]), None
+        else:
+            _check_floor(lowest[k])
+            value = None
+        out[k] = (value, PolicyField(grid, L_fields[k]))
     return out
 
 
@@ -712,20 +767,32 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
     state before the control reads it (a NaN stage point would fail
     _bilinear's int()), so the final min(max(x, 0.0), L_bar) lands in
     [0, L_bar]. A state in a cell whose four corners are +0.0 gets
-    L = 0.0 without interpolating, which is exact; 98.75% of the stage
-    controls of the benchmark cost-20 loop do. The arithmetic is
+    L = 0.0 without interpolating, which is exact. The arithmetic is
     otherwise that of the interpolation on numpy scalars, operation for
     operation, so simulations equal the array reference in
-    tests/test_rk4_reference.py bit for bit. The one RK4 loop,
+    tests/test_rk4_reference.py bit for bit.
+
+    The loop stops looking the policy up once lockdown is ruled out for
+    good: _bilinear's settled test holds at a step start when
+    beta*S < gamma, so S and I can only fall from there, and every cell
+    at or below the state's, in S and in I, has four +0.0 corners. From
+    that step on _integrate takes the zero control, which returns the
+    +0.0 every later lookup would (its docstring has the proof). The
+    benchmark sweep's six loops settle at steps 74 to 225 and look the
+    policy up 296 to 900 times, against 29,201 for a loop that
+    interpolates at every stage. The one RK4 loop,
     _integrate, also accumulates the discounted lockdown output loss and
     death cost, skipping the output-loss terms, all zero, of a step with
     no lockdown at any stage; the benchmark sweep's six loops start 0 to
     206 of their 7,300 steps locked down.
     """
-    control = (_bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
-               if policy is not None else lambda S, I, R, D, t: 0.0)
+    if policy is None:
+        control, settled = _no_lockdown, None
+    else:
+        control, settled = _bilinear(policy.grid, policy.lockdown, 0.0,
+                                     params.L_bar, params)
     traj, (gdp_loss, death_cost) = _integrate(state0, control, params,
-                                              horizon, dt)
+                                              horizon, dt, settled)
     locked = traj.L > LOCKDOWN_THRESHOLD
     step = np.diff(traj.t)
     lock_years = float(np.sum(step[locked[:-1]]))

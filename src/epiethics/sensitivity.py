@@ -148,6 +148,13 @@ def _scenario(label: str, params: PlannerParams, policy: PolicyField,
                           value=summary.value)
 
 
+def _sup_distance(a, b, buf) -> float:
+    # max |a - b| as np.max(np.abs(a - b)) gives it, bit for bit, with
+    # buf, shaped like a, as the one temporary.
+    np.subtract(a, b, out=buf)
+    return float(np.abs(buf, out=buf).max())
+
+
 def _priced(params: PlannerParams, cost: float):
     # params at this death cost, or the ValueError rejecting the cost.
     try:
@@ -169,8 +176,11 @@ def run_sensitivity(params: PlannerParams, criteria,
     The scenarios are the baseline ("benchmark", at
     params.cost_per_death), then the criteria, then the ladder. Every
     cost is derived first; the distinct valid ones, in first-use order,
-    are then solved together by one solve_stacked call, and the
-    scenarios are walked once, in order. The baseline's solver failure
+    are then solved together by one solve_stacked call that keeps no
+    value arrays (keep_values=False), so the sweep holds one n_S x n_I
+    field per cost, its policy; the scenarios are then walked once, in
+    order, and each closed loop stops its policy lookups once settled
+    (simulate_optimal). The baseline's solver failure
     propagates before the walk. Scenarios of equal cost share one solve
     and simulation under their own labels; one INFO line per simulated
     cost names the scenarios that shared it. A criterion or ladder
@@ -178,7 +188,9 @@ def run_sensitivity(params: PlannerParams, criteria,
     or whose solve fails (SolverConvergenceError, SolverNumericalError),
     is recorded with its error message, and its warning logged, when the
     walk reaches it; any other error propagates. The report also carries
-    the pairwise sup-norm distance between the criterion policies.
+    the pairwise sup-norm distance between the criterion policies, each
+    computed in one reused buffer, so no distance adds a full-size
+    temporary to the policies the sweep holds.
     """
     if state0 is None:
         state0 = EpidemicState(S=0.98, I=0.02)
@@ -200,10 +212,11 @@ def run_sensitivity(params: PlannerParams, criteria,
 
     costs = list(dict.fromkeys(cost for _, cost, p in scenarios
                                if isinstance(p, PlannerParams)))
-    # Each cost's policy or solver failure; the value fields are dropped.
+    # Each cost's policy or solver failure; no value array is kept.
     solved = {cost: out if isinstance(out, Exception) else out[1]
               for cost, out in zip(costs, solve_stacked(
-                  params, grid, costs, tol=tol, max_iters=max_iters))}
+                  params, grid, costs, tol=tol, max_iters=max_iters,
+                  keep_values=False))}
     if isinstance(solved[params.cost_per_death], Exception):
         raise solved[params.cost_per_death]
 
@@ -227,9 +240,10 @@ def run_sensitivity(params: PlannerParams, criteria,
     for cost, (_, labels) in simulated.items():
         logger.info("cost %.12g shared by %s", cost, ", ".join(labels))
 
+    buf = np.empty((grid.n_S, grid.n_I))
     diffs = tuple(
         (ra.label, rb.label, math.nan if pa is None or pb is None
-         else float(np.max(np.abs(pa.lockdown - pb.lockdown))))
+         else _sup_distance(pa.lockdown, pb.lockdown, buf))
         for (ra, pa), (rb, pb) in combinations(
             zip(rows[1:n], policies[1:n]), 2))
     return SensitivityReport(baseline=rows[0], rows=tuple(rows[1:n]),

@@ -507,3 +507,51 @@ def test_fields_reject_a_nan_point(point):
             field.at(*point)
         # Points outside the unit square are clamped, not rejected.
         assert field.at(np.inf, -np.inf) == field.at(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# solves that keep no value array
+# ---------------------------------------------------------------------------
+
+def test_a_value_less_solve_gives_the_same_policies_and_lines(caplog):
+    from epiethics.planner import solve_stacked
+
+    grid = GridSpec(n_S=30, n_I=30, n_L=5)
+    # 1.7e308 overflows: its cost fails alone, as it does keeping values.
+    costs = (20.0, 0.0, 1.7e308, 40.0)
+    runs = []
+    for keep in (True, False):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="epiethics.planner"):
+            out = solve_stacked(PARAMS, grid, costs, keep_values=keep)
+        runs.append((out, [r.getMessage() for r in caplog.records]))
+    (kept, kept_lines), (bare, bare_lines) = runs
+    assert bare_lines == kept_lines
+    assert len([line for line in bare_lines if "finished" in line]) == 3
+    for a, b in zip(kept, bare):
+        if isinstance(a, Exception):
+            assert type(b) is type(a) and str(b) == str(a)
+            continue
+        assert b[0] is None and isinstance(a[0], ValueField)
+        assert np.array_equal(a[1].lockdown.view(np.uint64),
+                              b[1].lockdown.view(np.uint64))
+    value, policy = solve_value_function(PARAMS, grid, keep_values=False)
+    assert value is None
+    assert np.array_equal(policy.lockdown, kept[0][1].lockdown)
+
+
+def test_a_value_less_solve_keeps_the_floor_check(monkeypatch):
+    # A value below -1e-12 is refused with the same error whether or not
+    # the solve keeps its value array.
+    from epiethics import planner as mod
+
+    real = mod.boundary_value_s_zero
+    monkeypatch.setattr(mod, "boundary_value_s_zero",
+                        lambda I, params: real(I, params) - 1e-9)
+    errors = []
+    for keep in (True, False):
+        with pytest.raises(ValueError, match="negative value entry") as err:
+            solve_value_function(PARAMS, GridSpec(n_S=8, n_I=8, n_L=3),
+                                 keep_values=keep)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]

@@ -7,6 +7,7 @@ statics live in the acceptance tests.
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -371,3 +372,23 @@ def test_sweep_solves_each_distinct_cost_once(monkeypatch, report):
                                              - alone[b][1].lockdown))))
                   for i, a in enumerate(labels) for b in labels[i + 1:])
     assert cached.policy_diffs == diffs
+
+
+def test_sweep_holds_one_field_per_cost():
+    # On 300^2 a field takes 0.72 MB. The sweep's traced peak is the six
+    # policies it reports plus less than two fields of working memory:
+    # it holds no value field, and no full-size temporary of a policy
+    # distance. The horizon is short, as tracing slows the closed loops
+    # and their trajectories are not what the bound is about.
+    grid = GridSpec()
+    field = grid.n_S * grid.n_I * 8
+    tracemalloc.start()
+    try:
+        rep = run_sensitivity(PARAMS, default_criteria(), grid=grid,
+                              horizon=1.0, ladder=(0.0, 10.0, 20.0, 40.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    costs = {row.cost_per_death for row in rep.all_rows()}
+    assert len(costs) == 6
+    assert peak < (len(costs) + 2) * field, peak / field
