@@ -247,24 +247,23 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     few of their steps: the benchmark sweep's six start 0 to 206 of
     their 7,300 steps locked down.
 
-    settled(S, I), if given, is tested at each step start until it first
-    holds; from that step on, the zero control (+0.0) stands in for
-    control, which is not called again. The caller vouches that when
-    settled(S, I) holds, S >= 0, I >= 0, fl(beta*S) < gamma, and control
-    returns +0.0 at every point (S', I') with S' <= S and I' <= I, as
-    simulate_optimal's does (planner._bilinear). The switch is then
-    exact, because every later stage point and step end lies in that
-    quadrant, with S', I' >= 0. By induction: at such a point under
-    L = +0.0, the infection flow of _flows, fl(fl(beta*S')*I'), lies in
-    [0, fl(gamma*I')], the exits, as fl(beta*S') <= fl(beta*S) < gamma
-    and rounding is monotone. So the S-slope -flow and the I-slope
-    flow - exits are <= 0, and each stage point and step end adds to
-    the step start a non-negative multiple of a sum of such slopes: S'
-    and I' do not rise. The step bound h*max(beta, gamma) <= 0.1 caps
-    what they lose at about a tenth of S and of I, so neither falls
-    below 0, and the clip to [0, 1] keeps both in the quadrant. On the
-    benchmark's cost-20 loop that leaves 504 of the 29,201 control
-    calls.
+    settled(S, I), if given, is the caller's grid test: for S, I >= 0 it
+    may hold only when control returns +0.0 at every point of
+    [0, S] x [0, I], -0.0 coordinates included, as planner._zero_below
+    does for simulate_optimal's control. It is tested at each step start
+    with S >= 0, I >= 0 and fl(beta*S) < gamma until it first holds;
+    from that step on, the zero control (+0.0) stands in for control,
+    which is not called again. The switch is exact, because every later
+    stage point and step end lies in [0, S] x [0, I]. By induction: at
+    such a point (S', I') under L = +0.0, the infection flow of _flows,
+    fl(fl(beta*S')*I'), lies in [0, fl(gamma*I')], the exits, as
+    fl(beta*S') <= fl(beta*S) < gamma and rounding is monotone. So the
+    S-slope -flow and the I-slope flow - exits are <= 0, and each stage
+    point and step end adds to the step start a non-negative multiple of
+    a sum of such slopes: S' and I' do not rise. The step bound
+    h*max(beta, gamma) <= 0.1 caps what they lose at about a tenth of S
+    and of I, so neither falls below 0, and the clip to [0, 1] keeps
+    both in [0, S] x [0, I].
 
     The loop runs on plain floats but keeps, value by value, the operation
     order of the equivalent loop over numpy state vectors, so its output is
@@ -321,9 +320,11 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     exp = math.exp
     disc = exp(-rho * t)
     gdp_loss = death_cost = 0.0
+    beta, gamma = params.beta_contact, params.gamma
 
     for k, h in enumerate(steps):
-        if settled is not None and settled(S, I):
+        if (settled is not None and S >= 0.0 and I >= 0.0
+                and beta * S < gamma and settled(S, I)):
             control, settled = _no_lockdown, None
         half = 0.5 * h
         t_mid = t + half

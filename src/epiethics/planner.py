@@ -141,7 +141,7 @@ class GridSpec:
 
 
 def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
-              hi=math.inf, params: PlannerParams | None = None):
+              hi=math.inf):
     """Clamped bilinear interpolation of a grid field, as f(S, I) -> float.
 
     (S, I) is clamped to the unit square and the result to [lo, hi]. The
@@ -158,25 +158,7 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     max and give the same bits: min and max return their first argument
     unless the other compares strictly past it, so a -0.0 stays -0.0
     either way, and no NaN reaches them. The result's clamp to [lo, hi]
-    keeps min and max; the zero-cell shortcut returns before it on many
-    calls, so comparisons there measured no faster.
-
-    A point in a cell whose four corners are all +0.0 gets the clamp of
-    +0.0 without interpolating, read from a byte mask of such cells. That
-    is exact: on each axis one of the weight factors 1 - x and x has a
-    clear sign bit, so at least one of the four corner weights is >= 0,
-    its product with +0.0 is +0.0, and so is the sum of the four. A -0.0
-    corner keeps its cell off the mask, as the interpolation may then
-    give -0.0.
-
-    Given params, returns (at, settled) for _integrate. settled(S, I)
-    holds when S >= 0, I >= 0, fl(beta*S) < gamma and every cell in
-    [0..i] x [0..j] is on the mask, with (i, j) the cell at() reads for
-    (S, I). That index never falls as S or I grows, so at() then returns
-    the clamp of +0.0, which is +0.0 for lo <= 0 <= hi, at every point
-    (S', I') with S' <= S and I' <= I. The rectangle test reads one
-    bound per row: reach[i], the fewest leading mask cells of any row
-    0..i, exceeds j exactly when the rectangle is on the mask.
+    keeps min and max.
     """
     sN, iN, hS, hI = _mesh(grid)
     s_nodes = sN.tolist()
@@ -184,11 +166,6 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
     i_top = grid.n_S - 2
     j_top = grid.n_I - 2
     field = memoryview(values)
-    plus_zero = (values == 0.0) & ~np.signbit(values)
-    zero_mask = (plus_zero[:-1, :-1] & plus_zero[1:, :-1]
-                 & plus_zero[:-1, 1:] & plus_zero[1:, 1:])
-    zero_cells = memoryview(zero_mask)
-    at_zero = min(max(0.0, lo), hi)
 
     def at(S, I, *_):
         if S < 0.0:
@@ -205,8 +182,6 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
         j = int(I / hI)
         if j > j_top:
             j = j_top
-        if zero_cells[i, j]:
-            return at_zero
         xs = (S - s_nodes[i]) / hS
         xi = (I - i_nodes[j]) / hI
         return min(max((1 - xs) * (1 - xi) * field[i, j]
@@ -214,21 +189,41 @@ def _bilinear(grid: GridSpec, values: np.ndarray, lo=-math.inf,
                        + (1 - xs) * xi * field[i, j + 1]
                        + xs * xi * field[i + 1, j + 1], lo), hi)
 
-    if params is None:
-        return at
-    lead = np.where(zero_mask.all(axis=1), j_top + 1,
-                    zero_mask.argmin(axis=1))
-    reach = np.minimum.accumulate(lead).tolist()
-    beta, gamma = params.beta_contact, params.gamma
+    return at
 
-    def settled(S, I):
-        # at()'s cell: for S, I >= 0 its comparison clamps are min's.
-        if not (S >= 0.0 and I >= 0.0 and beta * S < gamma):
-            return False
+
+def _zero_below(grid: GridSpec, values: np.ndarray):
+    """Whether a grid field reads +0.0 below a point, as f(S, I) -> bool.
+
+    For S, I >= 0, f(S, I) holds when every cell in [0..i] x [0..j] has
+    four +0.0 corners, with (i, j) the cell _bilinear reads for (S, I).
+    That index never falls as S or I grows, so at every point of
+    [0, S] x [0, I], -0.0 coordinates included, _bilinear interpolates
+    in such a cell and returns the clamp of +0.0, which is +0.0 for
+    lo <= 0 <= hi. The interpolation gives +0.0 exactly: on each axis
+    one of the weight factors 1 - x and x has a clear sign bit, so at
+    least one of the four corner weights is >= 0, its product with +0.0
+    is +0.0, and so is the sum of the four. A -0.0 corner keeps its cell
+    out, as the interpolation may then give -0.0. The test reads one
+    bound per row: reach[i], the fewest leading such cells of any row
+    0..i, exceeds j exactly when the rectangle holds only such cells.
+    _integrate's settled test adds the dynamics.
+    """
+    _, _, hS, hI = _mesh(grid)
+    i_top = grid.n_S - 2
+    j_top = grid.n_I - 2
+    plus_zero = (values == 0.0) & ~np.signbit(values)
+    zero = (plus_zero[:-1, :-1] & plus_zero[1:, :-1]
+            & plus_zero[:-1, 1:] & plus_zero[1:, 1:])
+    lead = np.where(zero.all(axis=1), j_top + 1, zero.argmin(axis=1))
+    reach = np.minimum.accumulate(lead).tolist()
+
+    def below(S, I):
+        # _bilinear's cell: for S, I >= 0 its comparison clamps are min's.
         i = min(int(min(S, 1.0) / hS), i_top)
         return min(int(min(I, 1.0) / hI), j_top) < reach[i]
 
-    return at, settled
+    return below
 
 
 def _point(S, I):
@@ -766,31 +761,21 @@ def simulate_optimal(policy: PolicyField | None, params: PlannerParams,
     is finite (its constructor checks) and _integrate rejects a NaN
     state before the control reads it (a NaN stage point would fail
     _bilinear's int()), so the final min(max(x, 0.0), L_bar) lands in
-    [0, L_bar]. A state in a cell whose four corners are +0.0 gets
-    L = 0.0 without interpolating, which is exact. The arithmetic is
-    otherwise that of the interpolation on numpy scalars, operation for
-    operation, so simulations equal the array reference in
-    tests/test_rk4_reference.py bit for bit.
+    [0, L_bar]. The arithmetic is that of the interpolation on numpy
+    scalars, operation for operation, so simulations equal the array
+    reference in tests/test_rk4_reference.py bit for bit.
 
     The loop stops looking the policy up once lockdown is ruled out for
-    good: _bilinear's settled test holds at a step start when
-    beta*S < gamma, so S and I can only fall from there, and every cell
-    at or below the state's, in S and in I, has four +0.0 corners. From
-    that step on _integrate takes the zero control, which returns the
-    +0.0 every later lookup would (its docstring has the proof). The
-    benchmark sweep's six loops settle at steps 74 to 225 and look the
-    policy up 296 to 900 times, against 29,201 for a loop that
-    interpolates at every stage. The one RK4 loop,
-    _integrate, also accumulates the discounted lockdown output loss and
-    death cost, skipping the output-loss terms, all zero, of a step with
-    no lockdown at any stage; the benchmark sweep's six loops start 0 to
-    206 of their 7,300 steps locked down.
+    good: _zero_below is the grid half of that test, and _integrate's
+    settled parameter adds the dynamics half and proves the switch
+    exact. _integrate, the one RK4 loop, also accumulates the discounted
+    lockdown output loss and death cost.
     """
     if policy is None:
         control, settled = _no_lockdown, None
     else:
-        control, settled = _bilinear(policy.grid, policy.lockdown, 0.0,
-                                     params.L_bar, params)
+        control = _bilinear(policy.grid, policy.lockdown, 0.0, params.L_bar)
+        settled = _zero_below(policy.grid, policy.lockdown)
     traj, (gdp_loss, death_cost) = _integrate(state0, control, params,
                                               horizon, dt, settled)
     locked = traj.L > LOCKDOWN_THRESHOLD

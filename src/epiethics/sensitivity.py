@@ -179,18 +179,19 @@ def run_sensitivity(params: PlannerParams, criteria,
     are then solved together by one solve_stacked call that keeps no
     value arrays (keep_values=False), so the sweep holds one n_S x n_I
     field per cost, its policy; the scenarios are then walked once, in
-    order, and each closed loop stops its policy lookups once settled
-    (simulate_optimal). The baseline's solver failure
-    propagates before the walk. Scenarios of equal cost share one solve
-    and simulation under their own labels; one INFO line per simulated
-    cost names the scenarios that shared it. A criterion or ladder
-    scenario whose cost cannot be derived or is rejected (ValueError),
-    or whose solve fails (SolverConvergenceError, SolverNumericalError),
-    is recorded with its error message, and its warning logged, when the
-    walk reaches it; any other error propagates. The report also carries
-    the pairwise sup-norm distance between the criterion policies, each
-    computed in one reused buffer, so no distance adds a full-size
-    temporary to the policies the sweep holds.
+    order, and each closed loop takes the zero control instead of its
+    policy lookup once settled (simulate_optimal). The baseline's solver
+    failure propagates before the walk. Scenarios of equal cost share
+    one solve and simulation under their own labels; one INFO line per
+    simulated cost names the scenarios that shared it. A criterion or
+    ladder scenario whose cost cannot be derived or is rejected
+    (ValueError), or whose solve fails (SolverConvergenceError,
+    SolverNumericalError), is recorded with its error message, and its
+    warning logged, when the walk reaches it; any other error
+    propagates. The report also carries the pairwise sup-norm distance
+    between the criterion policies, each computed in one reused buffer,
+    so no distance adds a full-size temporary to the policies the sweep
+    holds.
     """
     if state0 is None:
         state0 = EpidemicState(S=0.98, I=0.02)

@@ -514,16 +514,20 @@ def test_installed_entry_point_runs(tmp_path):
 
 def test_artifacts_do_not_depend_on_the_locale_encoding(tmp_path):
     # Every file is opened with an explicit encoding, so no command falls
-    # back to the locale's: its EncodingWarning is an error here.
+    # back to the locale's. A subprocess does not inherit pytest's warning
+    # filters, and EncodingWarning is only emitted under
+    # -X warn_default_encoding, so each command runs with that, in
+    # development mode, with every warning an error.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_S=10\nn_I=10\nhorizon=1\nsamples=20\n"
                    "criteria=CU,CLU:c=1\nladder=0\n", encoding="utf-8")
-    for command in ("solve", "simulate", "ethics", "sensitivity"):
+    for command in (["solve"], ["simulate"], ["simulate", "--no-control"],
+                    ["ethics"], ["sensitivity"]):
+        out = tmp_path / "-".join(command)
         proc = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding",
-             "-W", "error::EncodingWarning", "-m", "epiethics.cli",
-             "--config", str(cfg), "--out", str(tmp_path / command),
-             command],
+            [sys.executable, "-X", "dev", "-X", "warn_default_encoding",
+             "-W", "error", "-m", "epiethics.cli", "--config", str(cfg),
+             "--out", str(out), *command],
             capture_output=True, text=True, encoding="utf-8")
         assert proc.returncode == 0, (command, proc.stderr)
 
