@@ -3,14 +3,15 @@
 One `key=value` pair per line, `#` starts a comment, blank lines are
 ignored. Every key is declared once, in the `_SCHEMA` table: the
 dataclass that owns it (RunConfig, or its params, grid or victim), its
-field there, and how its text is parsed and written. Defaults and checks
-live in the owning dataclass, so an omitted key takes that dataclass's
-default and each value is checked by the dataclass that holds it;
-`phi0=auto`, `kappa=auto` and `tol=auto` ask for the derived values, as
-a default of None does. Unknown keys, duplicate keys, malformed values
-and invariant violations are all rejected with the offending line number
-before any solver work starts. serialize_config walks the same table and
-emits a canonical text that parses back to an equal RunConfig.
+field there, and how its text is parsed and written. An omitted key
+takes the owning dataclass's default. Each value is checked by the
+dataclass that holds it or, for a run setting a library function takes,
+by that function's own check, which RunConfig calls; `phi0=auto`,
+`kappa=auto` and `tol=auto` ask for the derived values, as a default of
+None does. Unknown keys, duplicate keys, malformed values and invariant
+violations are all rejected with the offending line number before any
+solver work starts. serialize_config walks the same table and emits a
+canonical text that parses back to an equal RunConfig.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .epidemic import (EpidemicState, ParameterError, PlannerParams,
-                       stability_bound)
-from .ethics import (POP_CAP_MAX, UtilityTransform, WelfareCriterion,
-                     default_criteria, level_bound)
-from .planner import GridSpec, resolved_tol
+                       _check_steps)
+from .ethics import (UtilityTransform, WelfareCriterion, _check_draws,
+                     default_criteria)
+from .planner import GridSpec, _check_solve
 from .sensitivity import DEFAULT_REFERENCE, VictimProfile
 
 __all__ = [
@@ -74,10 +75,13 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # tol=auto resolves to 1e-8 * w, which underflows to 0 for a
-        # tiny w.
-        _check(resolved_tol(self.params, self.tol) > 0.0,
-               "tol must be positive", "tol", "w")
+        try:
+            _check_solve(self.params, self.tol, self.max_iters)
+            _check_steps(self.horizon, self.dt, self.params)
+            _check_draws(self.samples, self.seed, self.pop_cap,
+                         self.level_min, self.level_max)
+        except ParameterError as exc:
+            raise ConfigError(str(exc), exc.keys) from exc
         for key in ("S0", "I0"):
             v = getattr(self, key)
             _check(0.0 <= v <= 1.0, f"{key} must lie in [0, 1], got {v!r}",
@@ -85,34 +89,10 @@ class RunConfig:
         total = self.S0 + self.I0
         _check(total <= 1.0 + 1e-12,
                f"S0 + I0 must not exceed 1, got {total!r}", "I0", "S0")
-        _check(self.horizon > 0.0, "horizon must be positive", "horizon")
-        _check(self.dt > 0.0, "dt must be positive", "dt")
-        bound = stability_bound(self.params)
-        _check(self.dt <= bound * (1.0 + 1e-12),
-               f"dt={self.dt!r} exceeds the stability bound "
-               f"0.1/max(beta_contact, gamma) = {bound!r}",
-               "dt", "beta_contact", "gamma")
-        _check(self.max_iters >= 1, "max_iters must be at least 1",
-               "max_iters")
         _check(self.output_stride >= 1, "output_stride must be at least 1",
                "output_stride")
         _check(len(self.criteria) > 0,
                "criteria must list at least one criterion", "criteria")
-        _check(self.samples >= 1, "samples must be at least 1", "samples")
-        _check(self.seed >= 0, "seed must be >= 0", "seed")
-        _check(self.pop_cap >= 2, "pop_cap must be at least 2", "pop_cap")
-        _check(self.pop_cap <= POP_CAP_MAX,
-               f"pop_cap must be at most {POP_CAP_MAX}", "pop_cap")
-        _check(self.level_min < self.level_max,
-               "level_min must be strictly below level_max",
-               "level_max", "level_min")
-        bound = level_bound(self.pop_cap)
-        for key in ("level_min", "level_max"):
-            v = getattr(self, key)
-            _check(abs(v) <= bound,
-                   f"{key}={v!r} exceeds the level bound "
-                   f"max_float/(5*pop_cap) = {bound!r} in magnitude",
-                   key, "pop_cap")
         _check(len(self.reference_pop) > 0,
                "reference_pop must list at least one level", "reference_pop")
         _check(all(v >= 0.0 for v in self.ladder),

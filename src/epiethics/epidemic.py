@@ -189,6 +189,18 @@ def stability_bound(params: PlannerParams) -> float:
     return 0.1 / max(params.beta_contact, params.gamma)
 
 
+def _check_steps(horizon: float, dt: float, params: PlannerParams):
+    _require(0.0 < horizon < math.inf,
+             f"horizon={horizon!r} must be positive and finite", "horizon")
+    _require(0.0 < dt < math.inf, f"dt={dt!r} must be positive and finite",
+             "dt")
+    bound = stability_bound(params)
+    _require(dt <= bound * (1.0 + 1e-12),
+             f"dt={dt!r} exceeds the stability bound "
+             f"0.1/max(beta_contact, gamma) = {bound!r}",
+             "dt", "beta_contact", "gamma")
+
+
 def _check_lockdown(L: float, params: PlannerParams):
     if not 0.0 <= L <= params.L_bar:
         raise ValueError(f"lockdown L={L!r} outside [0, {params.L_bar}]")
@@ -271,25 +283,17 @@ def _integrate(state0: EpidemicState, control, params: PlannerParams,
     and checks the equality. Each stage makes one _flows call, and
     S - half * flow is S + half * (-flow) by IEEE 754. The step adds
     sixth * (-f1 - ...) to S, as S - sixth * (f1 + ...) would differ if zero
-    flows of both signs met a start at S = -0.0. horizon and dt must be
-    positive and finite; NaN is refused by name. Samples go into four 1-D
-    columns, one per compartment, which the Trajectory keeps.
+    flows of both signs met a start at S = -0.0. _check_steps, the one check
+    of horizon and dt, refuses either by name unless positive and finite,
+    and a dt above stability_bound. Samples go into four 1-D columns, one
+    per compartment, which the Trajectory keeps.
 
     The [0, 1] clips are comparisons: x < 0.0 -> 0.0, x > 1.0 -> 1.0 is
     exactly min(max(x, 0.0), 1.0), as max returns its first argument
     unless the second compares greater, so both keep a -0.0, and the
     step's range check rejects a NaN before the clip.
     """
-    # Written so that NaN fails the comparisons, and so does an infinite
-    # horizon, which has no last sample.
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt={dt!r} must be positive and finite")
-    if dt > stability_bound(params) * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt!r} exceeds stability bound {stability_bound(params)!r}")
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon={horizon!r} must be positive and finite")
-
+    _check_steps(horizon, dt, params)
     n_full = int(math.floor(horizon / dt + 1e-9))
     steps = [dt] * n_full
     rem = horizon - n_full * dt

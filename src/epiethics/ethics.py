@@ -39,6 +39,8 @@ from typing import Optional
 
 import numpy as np
 
+from .epidemic import _require
+
 __all__ = [
     "Allocation",
     "AxiomReport",
@@ -753,6 +755,24 @@ def level_bound(pop_cap: int) -> float:
     return sys.float_info.max / 5 / pop_cap
 
 
+def _check_draws(samples: int, seed: int, pop_cap: int, level_min: float,
+                 level_max: float):
+    _require(samples >= 1, "samples must be at least 1", "samples")
+    _require(seed >= 0, "seed must be >= 0", "seed")
+    _require(pop_cap >= 2, "pop_cap must be at least 2", "pop_cap")
+    _require(pop_cap <= POP_CAP_MAX,
+             f"pop_cap must be at most {POP_CAP_MAX}", "pop_cap")
+    _require(level_min < level_max,
+             "level_min must be strictly below level_max",
+             "level_max", "level_min")
+    bound = level_bound(pop_cap)
+    for key, v in (("level_min", level_min), ("level_max", level_max)):
+        _require(abs(v) <= bound,
+                 f"{key}={v!r} exceeds the level bound "
+                 f"max_float/(5*pop_cap) = {bound!r} in magnitude",
+                 key, "pop_cap")
+
+
 def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
                  pop_cap: int = 8, level_range=(-10.0, 10.0)) -> list:
     """Randomized check of one axiom A1-A8, or of negative expansion,
@@ -782,23 +802,13 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     judges a candidate critical level's samples in doubling windows of
     1, 2, 4, ... samples, each in one batch, and on a failure rewinds the
     generator to just past the failing sample, so each candidate sees the
-    draws a case-by-case search would give it.
+    draws a case-by-case search would give it. Samples, seed, pop_cap and
+    level_range pass _check_draws, their one check, before any draw.
     """
     if axiom not in AXIOM_TITLES:
         raise ValueError(f"unknown axiom id {axiom!r}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if pop_cap < 2:
-        raise ValueError("pop_cap must be at least 2")
-    if pop_cap > POP_CAP_MAX:
-        raise ValueError(f"pop_cap must be at most {POP_CAP_MAX}")
     lo, hi = float(level_range[0]), float(level_range[1])
-    if not lo < hi:
-        raise ValueError("level range must be nondegenerate")
-    bound = level_bound(pop_cap)
-    if max(-lo, hi) > bound:
-        raise ValueError(f"level range {(lo, hi)!r} exceeds the level bound "
-                         f"max_float/(5*pop_cap) = {bound!r} in magnitude")
+    _check_draws(samples, seed, pop_cap, lo, hi)
     criteria = tuple(criteria)
     if axiom == "A6":
         results = [_check_critical_level(crit, np.random.default_rng(seed),

@@ -513,8 +513,18 @@ def _mesh(grid: GridSpec):
 
 
 def resolved_tol(params: PlannerParams, tol: float | None = None) -> float:
-    """The row residual tolerance a solve uses: tol, or 1e-8 * w if None."""
-    return 1e-8 * params.w if tol is None else tol
+    """The row residual tolerance a solve uses: tol, or 1e-8 * w if None,
+    refused unless positive (NaN, or a 1e-8 * w that underflows to 0)."""
+    tol = 1e-8 * params.w if tol is None else tol
+    _require(tol > 0.0, "tol must be positive", "tol", "w")
+    return tol
+
+
+def _check_solve(params: PlannerParams, tol: float | None,
+                 max_iters: int) -> float:
+    tol = resolved_tol(params, tol)
+    _require(max_iters >= 1, "max_iters must be at least 1", "max_iters")
+    return tol
 
 
 def solve_value_function(params: PlannerParams, grid: GridSpec,
@@ -579,11 +589,7 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     still runs, on the minimum of each row: a value below -1e-12 raises
     the same ValueError.
     """
-    tol = resolved_tol(params, tol)
-    if not tol > 0.0:                 # a NaN tol fails too
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    tol = _check_solve(params, tol, max_iters)
     Ls = _control_set(controls, params)
     priced = [replace(params, cost_per_death=c) for c in costs]
     if not priced:

@@ -411,6 +411,12 @@ def test_bad_overrides_exit_1(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     assert main(["--config", str(cfg), "--out", "", "solve"]) == 1
     assert "out_dir" in capsys.readouterr().err
+    # --samples fails ethics' own draw check, which RunConfig calls.
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+               "ethics", "--samples", "0"])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "config error: samples must be at least 1\n")
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                "ethics", "--criterion", "XU"])
     assert rc == 1

@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and round-trip serialization."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from epiethics.config import (
     parse_config,
     serialize_config,
 )
-from epiethics.ethics import UtilityTransform, WelfareCriterion
-from epiethics.epidemic import PlannerParams, stability_bound
-from epiethics.planner import GridSpec
+from epiethics.ethics import UtilityTransform, WelfareCriterion, check_axioms
+from epiethics.epidemic import (PlannerParams, integrate_trajectory,
+                                stability_bound)
+from epiethics.planner import GridSpec, solve_stacked
 from epiethics.sensitivity import VictimProfile
 
 BENCHMARK_CFG = Path(__file__).resolve().parents[1] / "configs/benchmark.cfg"
@@ -274,8 +276,13 @@ REJECTIONS = [
     ("S0=0.99\n", "line 1: S0 + I0 must not exceed 1, got 1.01"),
     ("# header\n\nS0=0.5\nI0=0.7\n",
      "line 4: S0 + I0 must not exceed 1, got 1.2"),
-    ("horizon=0\n", "line 1: horizon must be positive"),
-    ("dt=0\n", "line 1: dt must be positive"),
+    # These two keep the ids their cases had under the shorter text, so a
+    # case keeps one name across the change of wording.
+    pytest.param("horizon=0\n",
+                 "line 1: horizon=0.0 must be positive and finite",
+                 id="horizon=0\n-line 1: horizon must be positive"),
+    pytest.param("dt=0\n", "line 1: dt=0.0 must be positive and finite",
+                 id="dt=0\n-line 1: dt must be positive"),
     ("gamma=18\ndt=0.01\n", "line 2: dt=0.01 exceeds the stability bound "
      "0.1/max(beta_contact, gamma) = 0.002777777777777778"),
     # dt kept its default; the line is that of the rate that lowered the
@@ -323,6 +330,62 @@ def test_rejection_messages_are_pinned(text, message):
 def test_replacing_a_field_revalidates_the_config():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         replace(parse_config(""), seed=-1)
+
+
+def _solve(cfg, **bad):
+    solve_stacked(cfg.params, cfg.grid, (cfg.params.cost_per_death,),
+                  **{"tol": cfg.tol, "max_iters": cfg.max_iters, **bad})
+
+
+def _trajectory(cfg, **bad):
+    integrate_trajectory(cfg.state0(), lambda S, I, R, D, t: 0.0, cfg.params,
+                         **{"horizon": cfg.horizon, "dt": cfg.dt, **bad})
+
+
+def _draws(cfg, **bad):
+    draws = {"samples": cfg.samples, "seed": cfg.seed,
+             "pop_cap": cfg.pop_cap, "level_min": cfg.level_min,
+             "level_max": cfg.level_max, **bad}
+    level_range = (draws.pop("level_min"), draws.pop("level_max"))
+    check_axioms(cfg.criteria, "A1", level_range=level_range, **draws)
+
+
+# Each run setting a library function takes, with a value its one check
+# refuses; the call runs that function on the default config otherwise.
+LIBRARY_CHECKS = [
+    (_solve, "tol", 0.0),
+    (_solve, "max_iters", 0),
+    (_trajectory, "horizon", 0.0),
+    (_trajectory, "dt", 0.0),
+    (_trajectory, "dt", 0.01),               # above the stability bound
+    (_draws, "samples", 0),
+    (_draws, "seed", -1),
+    (_draws, "pop_cap", 1),
+    (_draws, "pop_cap", 2 ** 63),
+    (_draws, "level_max", -20.0),            # below level_min
+    (_draws, "level_min", -1e308),           # beyond the level bound
+]
+
+
+@pytest.mark.parametrize("call, key, value", LIBRARY_CHECKS,
+                         ids=[f"{key}={value!r}"
+                              for _, key, value in LIBRARY_CHECKS])
+def test_config_refuses_with_the_library_check(call, key, value):
+    with pytest.raises(ValueError) as lib:
+        call(parse_config(""), **{key: value})
+    assert lib.value.keys[0] == key
+    with pytest.raises(ConfigError) as cfg:
+        parse_config(f"{key}={value!r}\n")
+    assert str(cfg.value) == f"line 1: {lib.value}"
+
+
+def test_infinite_horizon_is_refused_on_construction():
+    # No config text spells inf, but a RunConfig built in code can.
+    with pytest.raises(ConfigError) as info:
+        RunConfig(PlannerParams(), GridSpec(n_S=20, n_I=20),
+                  horizon=math.inf)
+    assert info.value.keys[0] == "horizon"
+    assert str(info.value) == "horizon=inf must be positive and finite"
 
 
 # ---------------------------------------------------------------------------

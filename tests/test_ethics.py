@@ -352,9 +352,11 @@ def test_checker_input_validation():
         check_axiom(CU, "A1", pop_cap=1)
     with pytest.raises(ValueError, match="pop_cap"):
         check_axiom(CU, "A1", pop_cap=2 ** 63)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        check_axioms(default_criteria(), "A1", seed=-1)
     for level_range in ((1.0, 1.0), (2.0, -2.0)):
         with pytest.raises(ValueError,
-                           match="level range must be nondegenerate"):
+                           match="level_min must be strictly below level_max"):
             check_axioms(ALL, "A1", level_range=level_range)
     with pytest.raises(ValueError, match="n_max must be at least 1"):
         repugnant_witness(TU, Allocation.of(100.0), 0.1, 0)

@@ -175,7 +175,7 @@ def handmade_policy():
 @pytest.mark.parametrize("start, negative_zero", [
     (START, False), (EpidemicState(S=0.6, I=0.3, R=0.1), True),
     (EpidemicState(S=0.9, I=0.1), True)])
-def test_zero_cell_shortcut_is_bit_identical(start, negative_zero):
+def test_zero_cells_equal_the_array_loop_bit_for_bit(start, negative_zero):
     policy = handmade_policy()
     traj, summary = simulate_optimal(policy, PARAMS, start, HORIZON, DT)
     ref_path, (gdp, deaths) = reference_rk4(
