@@ -876,15 +876,22 @@ def replay_witness(crit: WelfareCriterion, report: AxiomReport) -> bool:
     return False
 
 
+# The repugnant scan's widest window. A criterion that never hits reads
+# every size up to n_max; at the ethics command's 100,000 it then holds
+# at most this many at a time, not the 34,465 of a last doubling window.
+_REPUGNANT_WINDOW = 4096
+
+
 def repugnant_witness(crit: WelfareCriterion, base: Allocation,
                       epsilon: float, n_max: int) -> Optional[Witness]:
     """Smallest n <= n_max whose n copies of epsilon beat the base.
 
     Requires 0 < epsilon < every base level. Candidate sizes are located
     with the closed-form uniform value, scanned upward in doubling
-    windows [1], [2, 3], [4, 7], ... up to the first window with a hit,
-    and the hit is confirmed with a full criterion evaluation; returns
-    None when no size works.
+    windows [1], [2, 3], [4, 7], ..., [2048, 4095] and then in windows
+    of _REPUGNANT_WINDOW sizes, [4096, 8191], [8192, 12287], ..., up to
+    the first window with a hit, and the hit is confirmed with a full
+    criterion evaluation; returns None when no size works.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be strictly positive")
@@ -895,11 +902,12 @@ def repugnant_witness(crit: WelfareCriterion, base: Allocation,
     vb = criterion_value(base, crit)
     first = 1
     while first <= n_max:
-        ns = np.arange(first, min(2 * first, n_max + 1))
+        width = min(first, _REPUGNANT_WINDOW)
+        ns = np.arange(first, min(first + width, n_max + 1))
         strict = _orders(_uniform_value(epsilon, ns, crit), vb) == 1
         if strict.any():
             break
-        first *= 2
+        first += width
     else:
         return None
     n_hit = int(ns[int(np.argmax(strict))])

@@ -13,7 +13,6 @@ documented exception).
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import platform
 from dataclasses import replace
@@ -28,6 +27,17 @@ from .ethics import AXIOM_IDS, PropertyMatrix, Witness
 from .planner import PolicyField, ScenarioSummary, ValueField, \
     _scipy_module, resolved_tol
 from .sensitivity import SensitivityReport
+
+# CPython's own SHA-256 module, so writing a manifest maps no OpenSSL:
+# hashlib's import loads _hashlib and libcrypto, about 3.4 MB resident,
+# to hash about 1.5 KB of config text. Same digest either way.
+try:
+    from _sha2 import sha256 as _sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256      # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "config_digest",
@@ -265,11 +275,13 @@ def write_policy_diffs_csv(path, report: SensitivityReport):
 
 
 def config_digest(cfg: RunConfig) -> str:
-    # The digest covers the inputs that determine results; the output
-    # directory is not one of them, so runs into different directories
-    # still produce identical manifests (modulo wall time).
+    # The SHA-256 of the serialized config, through CPython's built-in
+    # module (see _sha256). The digest covers the inputs that determine
+    # results; the output directory is not one of them, so runs into
+    # different directories still produce identical manifests (modulo
+    # wall time).
     canonical = replace(cfg, out_dir="out")
-    return hashlib.sha256(serialize_config(canonical).encode()).hexdigest()
+    return _sha256(serialize_config(canonical).encode()).hexdigest()
 
 
 def write_manifest(path, subcommand: str, cfg: RunConfig,

@@ -3,10 +3,11 @@
 Each subcommand runs through cli.main on configs/benchmark.cfg and every
 data file it writes must keep the digest recorded here, so a change that
 moves any byte of a field, a trajectory, a summary or a sweep fails
-tier-1 instead of being found by hand. The run manifests are left out:
-they carry the package version and the wall time. The ethics artifacts
-are pinned in tests/test_axiom_batch_reference.py. The raw bits of the
-six fields the sweep solves are pinned here as well.
+tier-1 instead of being found by hand. Of each run manifest only the
+config_sha256 line is pinned: the rest carry the package and library
+versions and the wall time. The ethics artifacts are pinned in
+tests/test_axiom_batch_reference.py. The raw bits of the six fields the
+sweep solves are pinned here as well.
 
 A change that moves a number on purpose re-records the digests below
 and says why in CHANGES.md.
@@ -24,6 +25,10 @@ from epiethics.planner import solve_stacked
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "benchmark.cfg"
 
+# The config_sha256 of the benchmark config, the same in every command's
+# run manifest.
+CONFIG_SHA256 = \
+    "82f26fe4138bae885be00a14203a1ab4900768c8cf80ecd1500bfd81dc70edda"
 FIELDS_SHA256 = \
     "fe29824a9d2ca6da788fcabfb15752ca47f88515f3e3a4bdd71623218378f040"
 DIGESTS = {
@@ -69,6 +74,8 @@ def test_benchmark_artifacts_keep_their_digests(tmp_path, command):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in DIGESTS[command]}
     assert got == DIGESTS[command]
+    manifest = (out / "run_manifest").read_text(encoding="utf-8")
+    assert f"config_sha256={CONFIG_SHA256}" in manifest.splitlines()
 
 
 def test_sweep_fields_keep_their_digest():

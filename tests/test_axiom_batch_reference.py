@@ -20,6 +20,7 @@ from epiethics.cli import main
 from epiethics.ethics import (AXIOM_IDS, Allocation, Ordering,
                               UtilityTransform, WelfareCriterion, Witness,
                               check_axiom, check_axioms, default_criteria)
+from test_artifact_digests import CONFIG_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 LO, HI, POP_CAP = -10.0, 10.0, 8
@@ -280,6 +281,8 @@ def test_ethics_artifacts_keep_their_reference_digests(tmp_path):
 
     assert digest("ethics.csv") == want["ethics/ethics.csv"]
     assert digest("ethics.txt") == ETHICS_TXT_SHA256
+    manifest = (out / "run_manifest").read_text(encoding="utf-8")
+    assert f"config_sha256={CONFIG_SHA256}" in manifest.splitlines()
 
 
 # ---------------------------------------------------------------------------

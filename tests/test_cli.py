@@ -545,22 +545,34 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     # scipy's package __init__: the row solve and the manifest's
     # scipy_version load the two scipy files they read by themselves, so
     # scipy is not even in sys.modules after a solve and its manifest.
+    # Nor may they load _hashlib, which maps OpenSSL's libcrypto (about
+    # 3.4 MB): the manifest's config digest uses CPython's built-in
+    # SHA-256. The ethics command is left out, since numpy.random, which
+    # its checkers draw from, imports secrets, hmac and so _hashlib.
     cfg = write_cfg(tmp_path)
     code = (
         "import sys\n"
+        "import epiethics\n"
+        "from pathlib import Path\n"
+        "names = ('scipy.linalg', 'scipy', '_hashlib')\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in names]\n"
+        "epiethics.parse_config(Path(sys.argv[1]).read_text("
+        "encoding='utf-8'))\n"
+        "seen = [loaded()]\n"
         "from epiethics.cli import main\n"
-        "names = ('scipy.linalg', 'scipy')\n"
-        "loaded = [[name in sys.modules for name in names]]\n"
-        "for cmd in ('solve', 'sensitivity'):\n"
-        "    rc = main(['--config', sys.argv[1], '--out', sys.argv[2], cmd])\n"
+        "seen.append(loaded())\n"
+        "for cmd in (['solve'], ['simulate'], ['simulate', '--no-control'],\n"
+        "            ['sensitivity']):\n"
+        "    rc = main(['--config', sys.argv[1], '--out', sys.argv[2], *cmd])\n"
         "    assert rc == 0, (cmd, rc)\n"
-        "    loaded.append([name in sys.modules for name in names])\n"
-        "print(loaded)\n")
+        "    seen.append(loaded())\n"
+        "print(seen)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
         capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([[False, False]] * 3)
+    assert proc.stdout.strip() == str([[False, False, False]] * 6)
     manifest = (tmp_path / "out" / "run_manifest").read_text(
         encoding="utf-8").splitlines()
     assert f"scipy_version={scipy.__version__}" in manifest

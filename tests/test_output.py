@@ -8,17 +8,23 @@ subnormal values, signed zeros, NaN and both infinities.
 fmt_many, the bulk formatter behind the field and trajectory CSVs, must
 print every array as [fmt(x) for x in array] does, and the chunked
 writers must write the bytes a per-row fmt writer writes.
+
+config_digest hashes through CPython's built-in SHA-256 module and must
+give hashlib's digest.
 """
 
 import csv
+import hashlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from epiethics import output
+from epiethics import output, parse_config, serialize_config
 from epiethics.epidemic import EpidemicState, PlannerParams
 from epiethics.output import (_strided_indices, fmt, fmt_many,
                               write_fields_csv, write_trajectory_csv)
@@ -182,3 +188,26 @@ def test_strided_trajectory_csv_holds_the_stride_1_rows(
                              for k in _strided_indices(len(traj), stride)]
         assert (tmp_path / "strided.csv").read_text(encoding="utf-8") \
             == "".join(kept)
+
+
+# The default config, the benchmark config and five power-transform
+# criteria written into another directory.
+DIGEST_CONFIGS = {
+    "default": "",
+    "benchmark": (Path(__file__).resolve().parents[1] / "configs"
+                  / "benchmark.cfg").read_text(encoding="utf-8"),
+    "five-pow": ("criteria=CU:u=pow0.5,TU:u=pow0.25,CLU:c=1:u=pow0.9,"
+                 "AU:u=pow0.5,RDCLU:c=1:rd=0.9:u=pow0.75\n"
+                 "out_dir=runs/pow\n"),
+}
+
+
+@pytest.mark.parametrize("text", DIGEST_CONFIGS.values(),
+                         ids=DIGEST_CONFIGS.keys())
+def test_config_digest_is_hashlib_sha256(text):
+    # config_digest hashes through CPython's built-in SHA-256 module; its
+    # digest must be hashlib's, of the config with out_dir set to "out".
+    cfg = parse_config(text)
+    canonical = serialize_config(replace(cfg, out_dir="out"))
+    assert (output.config_digest(cfg)
+            == hashlib.sha256(canonical.encode()).hexdigest())
