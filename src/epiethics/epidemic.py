@@ -151,13 +151,10 @@ class EpidemicState:
 
     @classmethod
     def _unchecked(cls, S, I, R, D, t):
-        # Internal fast path for integrator callbacks; skips validation.
+        # Internal fast path for integrator callbacks: no validation, and
+        # one dict update instead of five frozen-field writes.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "S", S)
-        object.__setattr__(obj, "I", I)
-        object.__setattr__(obj, "R", R)
-        object.__setattr__(obj, "D", D)
-        object.__setattr__(obj, "t", t)
+        obj.__dict__.update(S=S, I=I, R=R, D=D, t=t)
         return obj
 
     def as_array(self) -> np.ndarray:

@@ -25,7 +25,8 @@ vectorised batch per population size; each criterion's first failing
 case in draw order becomes its witness. A7 shares its stream of tries
 the same way and bisects each criterion's pairs together. A6 batches
 each candidate critical level's cases in doubling windows, for one
-criterion, and replays the generator to its first failing case.
+criterion, and replays the generator to its first failing case; no
+candidate is judged on a window of one level.
 """
 
 from __future__ import annotations
@@ -692,7 +693,12 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
     # candidate that fails stops, case by case, at its first failing
     # sample, so the generator is rewound to the window's start and only
     # the samples up to that one are drawn again: the next candidate then
-    # sees exactly the draws a case-by-case search would give it.
+    # sees exactly the draws a case-by-case search would give it. At
+    # c == lo the window [lo, min(c, hi)] is one point, where appending c
+    # moves no criterion, so that candidate draws from [c - (hi - lo), c].
+    # Candidates below lo are skipped: the miss is a weaker claim, not a
+    # false pass, and ranges above 0, such as (2, 10) in
+    # tests/test_a6_batch_reference.py, keep their draws.
     candidates = []
     if crit.kind in ("CLU", "RDCLU"):
         candidates.append(crit.c)
@@ -702,18 +708,19 @@ def _check_critical_level(crit, rng, samples, lo, hi, pop_cap):
         if c < 0.0 or c in seen or c < lo:
             continue
         seen.add(c)
+        bottom = lo if lo < c else c - (hi - lo)
         top = min(c, hi)
         start, width = 0, 1
         while start < samples:
             state = rng.bit_generator.state
-            xs = [_rand_levels(rng, pop_cap, lo, top)
+            xs = [_rand_levels(rng, pop_cap, bottom, top)
                   for _ in range(min(width, samples - start))]
             v = _Cases([([*x.tolist(), c], x) for x in xs]).values(crit)
             i = _first(_orders(v[:, 0], v[:, 1]) != 0)
             if i is not None:
                 rng.bit_generator.state = state
                 for _ in range(i + 1):
-                    _rand_levels(rng, pop_cap, lo, top)
+                    _rand_levels(rng, pop_cap, bottom, top)
                 break
             start += width
             width *= 2
@@ -802,7 +809,10 @@ def check_axioms(criteria, axiom: str, samples: int = 1000, seed: int = 0,
     judges a candidate critical level's samples in doubling windows of
     1, 2, 4, ... samples, each in one batch, and on a failure rewinds the
     generator to just past the failing sample, so each candidate sees the
-    draws a case-by-case search would give it. Samples, seed, pop_cap and
+    draws a case-by-case search would give it. A candidate c draws its
+    levels from [level_min, min(c, level_max)], or, when c is level_min
+    and that window a single point, from [c - (level_max - level_min), c];
+    candidates below level_min are skipped. Samples, seed, pop_cap and
     level_range pass _check_draws, their one check, before any draw.
     """
     if axiom not in AXIOM_TITLES:

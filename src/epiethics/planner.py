@@ -41,15 +41,14 @@ ends within tol of the same discrete fixed point.
 
 Problems that differ only in the price of a death (a sensitivity sweep)
 march through the rows together: the row functions take a leading
-scenario axis, and each policy-iteration step solves the rows of all
-unconverged scenarios as one block-diagonal tridiagonal system whose
-couplings across blocks are exact zeros. A scenario stops iterating at
-the step where its own row converges, so it runs exactly the operations
-of its own solve and its results are bit for bit the same. A scenario
-whose block of the row solve is not finite, as when its death price
-overflows, fails alone at its first non-finite node and takes no
-further steps; solve_value_function is the one-scenario case of
-solve_stacked.
+scenario axis, and each policy-iteration step minimizes over the rows of
+all unconverged scenarios in one array pass, then solves each one's
+tridiagonal system alone. A scenario stops iterating at the step where
+its own row converges, so it runs exactly the operations of its own
+solve and its results are bit for bit the same. A scenario whose row
+solve is not finite, as when its death price overflows, fails alone at
+its first non-finite node and takes no further steps;
+solve_value_function is the one-scenario case of solve_stacked.
 
 Grid nodes with S + I > 1 are retained. They are unreachable from the
 physical simplex, but keeping them gives every node near the diagonal a
@@ -448,17 +447,14 @@ def _gtsv():
 
 
 def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
-    """Solve the row's tridiagonal system for the fixed per-node policy.
+    """Solve each row's tridiagonal system for its fixed per-node policy.
 
-    With leading scenario axes, the rows form one block-diagonal system
-    whose couplings across block edges are exact zeros, solved in one
-    call; a finite block equals the block solved alone. A block that
-    overflows spreads NaN (0 * inf across a zero coupling) into its
-    neighbours, so if the solution is not finite, or the coefficients
-    of some block are not, every block is solved again alone: a block
-    with non-finite coefficients comes back all NaN, and one that
-    overflows on its own keeps its own non-finite nodes. As with
-    solve_banded, a singular system raises LinAlgError.
+    The coefficients of every row, with any leading scenario axes, are
+    built in one array pass; then each row is solved alone, so no row's
+    result depends on another's. A row whose coefficients are not all
+    finite comes back all NaN, and one that overflows in the solve keeps
+    its own non-finite nodes. As with solve_banded, a singular system
+    raises LinAlgError.
     """
     a = flow_k / hS
     bp = np.where(fI_k > 0.0, fI_k, 0.0) / hI
@@ -466,31 +462,24 @@ def _row_policy_eval(rho, flow_k, fI_k, cost_k, v_prev, hS, hI):
     bm = np.where(fI_k < 0.0, -fI_k, 0.0) / hI
     diag = rho + a + bp + bm
     rhs = cost_k + a * v_prev[..., 1:]  # the I = 0 neighbour is pinned at 0
-    alone = diag.size == diag.shape[-1]   # one block: nothing to isolate
     # bp and bm are never NaN (a NaN drift gives 0 in both), so the
     # off-diagonals -bp and -bm are finite wherever the diagonal is.
-    if np.isfinite(diag).all() and np.isfinite(rhs).all():
-        # Sub- and super-diagonal, with the zero couplings across block
-        # edges at the same places and of the same sign as in
-        # solve_banded's band.
-        lower = -bm
-        lower[..., 0] = 0.0
-        upper = -bp
-        upper[..., -1] = 0.0
-        # Every argument is a temporary, so LAPACK may overwrite them all.
-        *_, x, info = _gtsv()(lower.ravel()[1:], diag.ravel(),
-                              upper.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gtsv")
-        x = x.reshape(diag.shape)
-        if alone or np.isfinite(x).all():
-            return x
-    elif alone:
-        return np.full_like(diag, np.nan)
-    return np.stack([_row_policy_eval(rho, *block, hS, hI)
-                     for block in zip(flow_k, fI_k, cost_k, v_prev)])
+    finite = np.isfinite(diag).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+    x = np.full_like(diag, np.nan)
+    n = diag.shape[-1]
+    gtsv = _gtsv()
+    for ok, out, lower, d, upper, b in zip(
+            finite.ravel().tolist(), x.reshape(-1, n), bm.reshape(-1, n),
+            diag.reshape(-1, n), bp.reshape(-1, n), rhs.reshape(-1, n)):
+        if ok:
+            # Every argument is a temporary: LAPACK may overwrite them.
+            *_, out[:], info = gtsv(-lower[1:], d, -upper[:-1], b,
+                                    1, 1, 1, 1)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def _control_set(controls, params: PlannerParams):
@@ -566,18 +555,18 @@ def solve_stacked(params: PlannerParams, grid: GridSpec, costs,
     raises, as the exception object: one cost's failure leaves the others
     untouched. On each row, every policy-iteration step advances the
     working set, the costs still iterating there, with one minimization
-    and one block-diagonal tridiagonal solve. A cost leaves the working
-    set at the step where its row residual drops below tol, so it runs
-    exactly the steps of its own solve, or at the step where its block
-    of the row solve is not finite, which fails it with
-    SolverNumericalError at its first non-finite node; a failed cost
-    takes no further steps. An overflowing death price fails its cost
-    that way, so numpy's overflow and invalid-value warnings are off
-    here. Each cost's rows start from an extrapolation of its own rows
-    below (see solve_value_function). A ValueError (an invalid cost,
-    tol, max_iters or control set) is raised for the whole call. Each
-    cost's "solve finished" INFO line gives its policy-iteration steps,
-    summed over rows, and its worst final row residual.
+    and one tridiagonal solve per cost. A cost leaves the working set at
+    the step where its row residual drops below tol, so it runs exactly
+    the steps of its own solve, or at the step where its row solve is
+    not finite, which fails it with SolverNumericalError at its first
+    non-finite node; a failed cost takes no further steps. An
+    overflowing death price fails its cost that way, so numpy's overflow
+    and invalid-value warnings are off here. Each cost's rows start from
+    an extrapolation of its own rows below (see solve_value_function). A
+    ValueError (an invalid cost, tol, max_iters or control set) is
+    raised for the whole call. Each cost's "solve finished" INFO line
+    gives its policy-iteration steps, summed over rows, and its worst
+    final row residual.
 
     With keep_values=False no full value array is kept: the march holds
     only its row windows (the current row and the three below it, whose

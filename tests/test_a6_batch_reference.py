@@ -37,11 +37,12 @@ def ref_critical_level(crit, rng, samples, lo, hi, pop_cap, failed_at=None):
         if c < 0.0 or c in seen or c < lo:
             continue
         seen.add(c)
+        bottom = lo if lo < c else c - (hi - lo)
         tested = 0
         ok = True
         for _ in range(samples):
             n = int(rng.integers(1, pop_cap + 1))
-            x = Allocation(tuple(rng.uniform(lo, min(c, hi), n)))
+            x = Allocation(tuple(rng.uniform(bottom, min(c, hi), n)))
             tested += 1
             if compare(x.append(c), x, crit) is not Ordering.Indifferent:
                 ok = False
@@ -70,6 +71,19 @@ def test_batched_a6_matches_case_by_case_search(crit):
                            LO, HI) \
                 == outcome(ref_critical_level, crit, seed, samples,
                            LO, HI), (samples, seed)
+
+
+@pytest.mark.parametrize("crit", (CRITERIA[0], CRITERIA[3]),
+                         ids=lambda c: c.label)
+def test_batched_a6_matches_where_a_candidate_is_level_min(crit):
+    # On levels 0..10 the candidate 0 draws from [-10, 0], not from the
+    # one point 0: CU passes there and AU fails and moves on.
+    for samples in SAMPLES:
+        for seed in SEEDS:
+            assert outcome(_check_critical_level, crit, seed, samples,
+                           0.0, 10.0) \
+                == outcome(ref_critical_level, crit, seed, samples,
+                           0.0, 10.0), (samples, seed)
 
 
 def test_batched_a6_replays_a_failure_after_the_first_sample():

@@ -14,11 +14,15 @@ and says why in CHANGES.md.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from epiethics import parse_config
+from epiethics import output, parse_config
 from epiethics.cli import main
 from epiethics.planner import solve_stacked
 
@@ -64,6 +68,71 @@ DIGESTS = {
 SWEEP_COSTS = [20.0, 6.666666666666664, 18.0, 0.0, 10.0, 40.0]
 SWEEP_FIELDS_SHA256 = \
     "1abffcb0dc110e6f233ee9398ae3bc02900bab056f58ff8efb0bc8fb8065ef28"
+
+
+def test_config_digest_falls_back_to_hashlib():
+    # Without CPython's built-in SHA-256 modules the manifest hashes with
+    # hashlib's, and the digest stays the same.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from pathlib import Path\n"
+        "from epiethics import output, parse_config\n"
+        "cfg = parse_config(Path(sys.argv[1]).read_text(encoding='utf-8'))\n"
+        "print(output._sha256.__name__, output.config_digest(cfg))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(CONFIG)],
+                          capture_output=True, text=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["openssl_sha256", CONFIG_SHA256]
+
+
+def sha2_interpreters():
+    # Each CPython interpreter that might be 3.12 or later: the pyenv
+    # versions, and python3.12 and up on PATH. Some may not run at all.
+    found = []
+    root = os.environ.get("PYENV_ROOT")
+    if root:
+        found += sorted(str(p) for p in
+                        Path(root).glob("versions/*/bin/python3"))
+    found += [shutil.which(f"python3.{minor}") for minor in range(12, 20)]
+    return list(dict.fromkeys(p for p in found if p))
+
+
+def test_config_digest_is_the_same_under_sha2(monkeypatch):
+    # The suite's interpreter may hash with _sha256; the package's first
+    # choice, _sha2 of CPython 3.12+, is checked on the exact bytes
+    # config_digest hashes, in every such interpreter that starts. The
+    # package itself need not import there.
+    fed = []
+    monkeypatch.setattr(output, "_sha256",
+                        lambda data: fed.append(data) or hashlib.sha256(data))
+    cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
+    assert output.config_digest(cfg) == CONFIG_SHA256
+    (text,) = fed
+    code = ("import sys\n"
+            "if sys.version_info < (3, 12):\n"
+            "    sys.exit(3)\n"
+            "from _sha2 import sha256\n"
+            "print(sha256(sys.stdin.buffer.read()).hexdigest())\n")
+    hashed, skipped = 0, []
+    for exe in sha2_interpreters():
+        try:
+            proc = subprocess.run([exe, "-c", code], input=text,
+                                  capture_output=True, timeout=60)
+        except OSError as err:
+            skipped.append(f"{exe}: {err}")
+            continue
+        if proc.returncode == 3:
+            continue                  # older than 3.12: no _sha2
+        if proc.returncode != 0:
+            reason = proc.stderr.decode(errors="replace").splitlines()
+            skipped.append(f"{exe}: {(reason or ['no output'])[-1]}")
+            continue
+        assert proc.stdout.decode().split() == [CONFIG_SHA256], exe
+        hashed += 1
+    if not hashed:
+        pytest.skip("no CPython 3.12+ interpreter runs here; "
+                    + "; ".join(skipped or ["none found"]))
 
 
 @pytest.mark.parametrize("command", DIGESTS, ids=" ".join)

@@ -7,6 +7,7 @@ Independent oracles used here:
   * closed-form behaviour at the disease-free edge (I = 0).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -381,15 +382,22 @@ def test_control_sees_the_state_and_stage_time():
     seen = []
 
     def control(state, t):
-        seen.append((type(state), state.S + state.I + state.R + state.D, t))
+        seen.append((state, state.S + state.I + state.R + state.D, t))
         return 0.0
 
     dt = stability_bound(PARAMS)
     integrate_trajectory(START, control, PARAMS, horizon=dt, dt=dt)
     # Four RK4 stages, then the lockdown recorded at the final sample.
-    assert [kind for kind, _, _ in seen] == [EpidemicState] * 5
+    assert [type(state) for state, _, _ in seen] == [EpidemicState] * 5
     assert [t for _, _, t in seen] == [0.0, 0.5 * dt, 0.5 * dt, dt, dt]
     assert all(abs(total - 1.0) < 1e-12 for _, total, _ in seen)
+    # The stage states skip the checks, yet equal checked states and are
+    # as frozen.
+    for state, _, _ in seen:
+        assert state == EpidemicState(state.S, state.I, state.R, state.D,
+                                      state.t)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.S = 0.5
 
 
 def test_trajectory_indexing():

@@ -274,6 +274,45 @@ def test_critical_level_notes_print_the_level_exactly():
     assert rep.criterion == "CLU(c=1.0000001)"
 
 
+@pytest.mark.parametrize("pop_cap", [2, 8, 32])
+def test_critical_level_is_not_judged_on_a_one_point_window(pop_cap):
+    # On levels 0..10 the candidate c = 0 is level_min, so [level_min, c]
+    # holds only 0, where appending a 0 moves no criterion, AU's mean
+    # included. The candidate draws from [-10, 0] instead: AU has no
+    # critical level, and CU and TU keep theirs at 0.
+    reports = check_axioms((CU, TU, AU), "A6", samples=1000, seed=0,
+                           pop_cap=pop_cap, level_range=(0.0, 10.0))
+    assert [(r.verdict, r.witness and r.witness.payload["c"])
+            for r in reports] \
+        == [("pass", 0.0), ("pass", 0.0), ("not-found-within-budget", None)]
+
+
+# The level ranges and population caps of the verdict-stability study:
+# ranges that put 0 inside the window, and (0, 10), which puts it at the
+# bottom edge.
+STABILITY_RANGES = ((-0.1, 0.1), (-10.0, 10.0), (-1000.0, 1000.0),
+                    (0.0, 10.0))
+STABILITY_CAPS = (2, 8, 32)
+
+
+def test_verdicts_do_not_move_with_the_level_range_or_cap():
+    # Every (criterion, property) cell of the default criteria keeps one
+    # verdict across the ranges and caps above, at the run defaults of
+    # 1,000 samples and seed 0: no verdict is an artifact of the window.
+    verdicts = {}
+    for prop in AXIOM_IDS + ("negative-expansion",):
+        for level_range in STABILITY_RANGES:
+            for pop_cap in STABILITY_CAPS:
+                for rep in check_axioms(default_criteria(), prop,
+                                        samples=1000, seed=0,
+                                        pop_cap=pop_cap,
+                                        level_range=level_range):
+                    verdicts.setdefault((rep.criterion, prop),
+                                        set()).add(rep.verdict)
+    assert len(verdicts) == 45
+    assert {cell: v for cell, v in verdicts.items() if len(v) > 1} == {}
+
+
 def test_egalitarian_equivalence_constructions():
     for crit in ALL:
         rep = check_axiom(crit, "A7", samples=100, seed=7)
